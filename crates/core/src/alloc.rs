@@ -8,11 +8,11 @@
 //! by the paper's kmeans fix (Section 4: "align the clusters to cache line
 //! boundaries").
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
 use std::sync::Arc;
 
 use crate::addr::{WordAddr, WORD_BYTES};
+use crate::hash::FastMap;
 
 /// Words handed to a thread cache in one refill.
 const CHUNK_WORDS: u32 = 1 << 14;
@@ -104,13 +104,13 @@ pub struct ThreadAlloc {
     global: Arc<SimAlloc>,
     chunk_next: u32,
     chunk_end: u32,
-    free_lists: HashMap<u32, Vec<WordAddr>>,
+    free_lists: FastMap<u32, Vec<WordAddr>>,
 }
 
 impl ThreadAlloc {
     /// Creates a thread cache over the given global allocator.
     pub fn new(global: Arc<SimAlloc>) -> ThreadAlloc {
-        ThreadAlloc { global, chunk_next: 0, chunk_end: 0, free_lists: HashMap::new() }
+        ThreadAlloc { global, chunk_next: 0, chunk_end: 0, free_lists: FastMap::default() }
     }
 
     /// Allocates `words` contiguous words.

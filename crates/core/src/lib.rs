@@ -14,6 +14,7 @@
 //! * [`alloc`] — non-transactional allocation of simulated memory,
 //! * [`abort`] — abort causes and the Figure-3 abort categories,
 //! * [`cost`] — the simulated-cycle cost model and per-thread clock,
+//! * [`hash`] — the integer-key hasher behind per-transaction sets,
 //! * [`hb`] — vector-clock happens-before machinery for the race sanitizer.
 //!
 //! Higher layers add platform models (`htm-machine`), the transaction engine
@@ -51,6 +52,7 @@ pub mod alloc;
 pub mod coop;
 pub mod cost;
 pub mod error;
+pub mod hash;
 pub mod hb;
 pub mod mem;
 pub mod verify;
@@ -61,6 +63,7 @@ pub use alloc::{SimAlloc, ThreadAlloc};
 pub use coop::{CoopHooks, CoopPoint};
 pub use cost::{Clock, CostModel};
 pub use error::{panic_message, SimError, SimResult};
+pub use hash::{FastMap, FastSet};
 pub use hb::{
     detect_races, Access, ConflictEvent, DataRace, RaceAccess, RaceReport, Segment, SyncClock,
     VectorClock,

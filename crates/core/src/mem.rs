@@ -104,20 +104,23 @@ pub enum DoomOutcome {
     Inactive,
 }
 
-struct LineState {
-    readers: AtomicU64,
-    writer: AtomicU32,
-}
-
 /// The simulated shared memory: word arena + conflict-detection line table +
 /// per-slot transaction status.
 ///
 /// One `TxMemory` is created per experiment run, parameterised with the
 /// platform's conflict-detection [`Geometry`]. It is shared across worker
 /// threads behind an `Arc` (all state is atomic).
+///
+/// The line table is two parallel arrays indexed by [`LineId`] rather than
+/// one array of `(readers, writer)` structs: the struct pads to 16 bytes,
+/// the split layout costs 12 bytes per line.
 pub struct TxMemory {
     words: Vec<AtomicU64>,
-    lines: Vec<LineState>,
+    /// Per-line reader bitmask (bit `s` = slot `s` has the line in its
+    /// read set).
+    readers: Vec<AtomicU64>,
+    /// Per-line writer tag: 0 = unowned, `s + 1` = owned by slot `s`.
+    writers: Vec<AtomicU32>,
     slots: Vec<AtomicU32>,
     /// Per-slot blame word for the abort-blame analyzer: who doomed this
     /// slot last, and on which line (see [`TxMemory::blame_of`]).
@@ -142,7 +145,7 @@ impl std::fmt::Debug for TxMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TxMemory")
             .field("words", &self.words.len())
-            .field("lines", &self.lines.len())
+            .field("lines", &self.readers.len())
             .field("geometry", &self.geometry)
             .finish()
     }
@@ -160,18 +163,18 @@ impl TxMemory {
         let mut w = Vec::with_capacity(words as usize);
         w.resize_with(words as usize, || AtomicU64::new(0));
         let nlines = geometry.lines_for(words);
-        let mut lines = Vec::with_capacity(nlines);
-        lines.resize_with(nlines, || LineState {
-            readers: AtomicU64::new(0),
-            writer: AtomicU32::new(0),
-        });
+        let mut readers = Vec::with_capacity(nlines);
+        readers.resize_with(nlines, || AtomicU64::new(0));
+        let mut writers = Vec::with_capacity(nlines);
+        writers.resize_with(nlines, || AtomicU32::new(0));
         let mut slots = Vec::with_capacity(MAX_SLOTS);
         slots.resize_with(MAX_SLOTS, || AtomicU32::new(INACTIVE));
         let mut blame = Vec::with_capacity(MAX_SLOTS);
         blame.resize_with(MAX_SLOTS, || AtomicU64::new(0));
         TxMemory {
             words: w,
-            lines,
+            readers,
+            writers,
             slots,
             blame,
             geometry,
@@ -257,8 +260,13 @@ impl TxMemory {
     }
 
     #[inline]
-    fn line(&self, line: LineId) -> &LineState {
-        &self.lines[line.0 as usize]
+    fn readers(&self, line: LineId) -> &AtomicU64 {
+        &self.readers[line.0 as usize]
+    }
+
+    #[inline]
+    fn writer(&self, line: LineId) -> &AtomicU32 {
+        &self.writers[line.0 as usize]
     }
 
     #[inline]
@@ -445,14 +453,14 @@ impl TxMemory {
         policy: ConflictPolicy,
     ) -> Result<(), AbortCause> {
         crate::coop::access(line.0 as u64, false);
-        let ls = self.line(line);
-        ls.readers.fetch_or(slot.mask(), SeqCst);
+        let (readers, writer) = (self.readers(line), self.writer(line));
+        readers.fetch_or(slot.mask(), SeqCst);
         let mut spins = 0u64;
         loop {
             if let Some(cause) = self.doom_cause(slot) {
                 return Err(cause);
             }
-            let w = ls.writer.load(SeqCst);
+            let w = writer.load(SeqCst);
             if w == 0 || w == slot.writer_tag() {
                 return Ok(());
             }
@@ -499,13 +507,13 @@ impl TxMemory {
         policy: ConflictPolicy,
     ) -> Result<(), AbortCause> {
         crate::coop::access(line.0 as u64, true);
-        let ls = self.line(line);
+        let (readers, writer) = (self.readers(line), self.writer(line));
         let mut spins = 0u64;
         loop {
             if let Some(cause) = self.doom_cause(slot) {
                 return Err(cause);
             }
-            match ls.writer.compare_exchange(0, slot.writer_tag(), SeqCst, SeqCst) {
+            match writer.compare_exchange(0, slot.writer_tag(), SeqCst, SeqCst) {
                 Ok(_) => break,
                 Err(w) if w == slot.writer_tag() => break,
                 Err(w) => {
@@ -542,9 +550,9 @@ impl TxMemory {
         if self.test_skip_reader_doom.load(SeqCst) {
             return Ok(());
         }
-        let readers = ls.readers.load(SeqCst) & !slot.mask();
-        if readers != 0 {
-            for victim in BitIter(readers) {
+        let others = readers.load(SeqCst) & !slot.mask();
+        if others != 0 {
+            for victim in BitIter(others) {
                 // Committing/inactive readers linearize before our commit;
                 // no need to wait for them.
                 let _ = self.try_doom_from(victim, AbortCause::ConflictTxStore, Some(slot), line);
@@ -565,13 +573,13 @@ impl TxMemory {
     /// Returns whether the line was added. The caller must only use this
     /// for lines not already in its read or write set.
     pub fn try_read_line_passive(&self, slot: SlotId, line: LineId) -> bool {
-        let ls = self.line(line);
-        ls.readers.fetch_or(slot.mask(), SeqCst);
-        let w = ls.writer.load(SeqCst);
+        let (readers, writer) = (self.readers(line), self.writer(line));
+        readers.fetch_or(slot.mask(), SeqCst);
+        let w = writer.load(SeqCst);
         if w == 0 || w == slot.writer_tag() {
             true
         } else {
-            ls.readers.fetch_and(!slot.mask(), SeqCst);
+            readers.fetch_and(!slot.mask(), SeqCst);
             false
         }
     }
@@ -579,17 +587,17 @@ impl TxMemory {
     /// Releases write ownership of `line` if held by `slot` (commit finish
     /// or rollback).
     pub fn release_writer(&self, line: LineId, slot: SlotId) {
-        let _ = self.line(line).writer.compare_exchange(slot.writer_tag(), 0, SeqCst, SeqCst);
+        let _ = self.writer(line).compare_exchange(slot.writer_tag(), 0, SeqCst, SeqCst);
     }
 
     /// Clears `slot`'s reader bit on `line` (commit finish or rollback).
     pub fn clear_reader(&self, line: LineId, slot: SlotId) {
-        self.line(line).readers.fetch_and(!slot.mask(), SeqCst);
+        self.readers(line).fetch_and(!slot.mask(), SeqCst);
     }
 
     /// Returns the slot currently owning `line` for write, if any.
     pub fn writer_of(&self, line: LineId) -> Option<SlotId> {
-        match self.line(line).writer.load(SeqCst) {
+        match self.writer(line).load(SeqCst) {
             0 => None,
             w => Some(SlotId((w - 1) as u8)),
         }
@@ -597,7 +605,7 @@ impl TxMemory {
 
     /// Returns the reader bitmask of `line` (testing/diagnostics).
     pub fn readers_of(&self, line: LineId) -> u64 {
-        self.line(line).readers.load(SeqCst)
+        self.readers(line).load(SeqCst)
     }
 
     // ------------------------------------------------------------------
@@ -613,10 +621,10 @@ impl TxMemory {
     pub fn nontx_load(&self, by: Option<SlotId>, addr: WordAddr) -> u64 {
         crate::coop::access(self.line_of(addr).0 as u64, false);
         let line = self.line_of(addr);
-        let ls = self.line(line);
+        let writer = self.writer(line);
         let mut spins = 0u64;
         loop {
-            let w = ls.writer.load(SeqCst);
+            let w = writer.load(SeqCst);
             if w == 0 || Some(SlotId((w.max(1) - 1) as u8)) == by {
                 break;
             }
@@ -666,10 +674,10 @@ impl TxMemory {
     /// footprint, waiting out a committing writer, exactly as an
     /// invalidating coherence request would.
     fn invalidate_line_for_nontx(&self, line: LineId, by: Option<SlotId>) {
-        let ls = self.line(line);
+        let (readers, writer) = (self.readers(line), self.writer(line));
         let mut spins = 0u64;
         loop {
-            let w = ls.writer.load(SeqCst);
+            let w = writer.load(SeqCst);
             if w == 0 || Some(SlotId((w.max(1) - 1) as u8)) == by {
                 break;
             }
@@ -681,8 +689,8 @@ impl TxMemory {
             }
         }
         let skip = by.map(|s| s.mask()).unwrap_or(0);
-        let readers = ls.readers.load(SeqCst) & !skip;
-        for victim in BitIter(readers) {
+        let others = readers.load(SeqCst) & !skip;
+        for victim in BitIter(others) {
             let _ = self.try_doom_from(victim, AbortCause::ConflictNonTx, by, line);
         }
     }

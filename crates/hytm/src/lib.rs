@@ -33,10 +33,9 @@
 
 pub mod adapt;
 
-use std::collections::HashMap;
 use std::fmt;
 
-use htm_core::WordAddr;
+use htm_core::{FastMap, WordAddr};
 
 /// What the retry mechanism falls back to when its retry counters are
 /// exhausted.
@@ -153,7 +152,7 @@ pub const STM_MAX_ACCESSES: u32 = 1 << 20;
 #[derive(Debug, Default)]
 pub struct SoftLog {
     entries: Vec<(WordAddr, u64)>,
-    index: HashMap<WordAddr, u64>,
+    index: FastMap<WordAddr, u64>,
 }
 
 impl SoftLog {

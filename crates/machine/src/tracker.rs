@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use htm_core::{AbortCause, LineId};
+use htm_core::{AbortCause, FastMap, LineId};
 
 /// Declarative description of a platform's capacity structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,7 +168,7 @@ pub struct Tracker {
     load_lines: u64,
     store_lines: u64,
     union_lines: u64,
-    store_sets: HashMap<u32, u32>,
+    store_sets: FastMap<u32, u32>,
 }
 
 impl Tracker {
@@ -180,7 +180,7 @@ impl Tracker {
             load_lines: 0,
             store_lines: 0,
             union_lines: 0,
-            store_sets: HashMap::new(),
+            store_sets: FastMap::default(),
         }
     }
 

@@ -43,7 +43,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use htm_core::{AbortedAttempt, CertifyReport, EventKind, TxEvent, Violation, WordAddr};
+use htm_core::{
+    AbortedAttempt, CertifyReport, EventKind, FastMap, FastSet, TxEvent, Violation, WordAddr,
+};
 
 /// Per-thread bound on recorded events; past it the log drops events and
 /// the report is marked truncated.
@@ -58,8 +60,8 @@ pub(crate) struct CertCapture {
     events: Vec<TxEvent>,
     truncated: bool,
     reads: Vec<(WordAddr, u64)>,
-    read_addrs: HashSet<WordAddr>,
-    irr_writes: HashMap<WordAddr, u64>,
+    read_addrs: FastSet<WordAddr>,
+    irr_writes: FastMap<WordAddr, u64>,
     aborted: Vec<AbortedAttempt>,
 }
 
@@ -70,8 +72,8 @@ impl CertCapture {
             events: Vec::new(),
             truncated: false,
             reads: Vec::new(),
-            read_addrs: HashSet::new(),
-            irr_writes: HashMap::new(),
+            read_addrs: FastSet::default(),
+            irr_writes: FastMap::default(),
             aborted: Vec::new(),
         }
     }
@@ -123,7 +125,7 @@ impl CertCapture {
 
     /// Emits the event for a committed hardware transaction. `write_buf` is
     /// the buffered store set about to be flushed.
-    pub(crate) fn commit_hw(&mut self, seq: u64, rot: bool, write_buf: &HashMap<WordAddr, u64>) {
+    pub(crate) fn commit_hw(&mut self, seq: u64, rot: bool, write_buf: &FastMap<WordAddr, u64>) {
         let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
         writes.sort_unstable_by_key(|&(a, _)| a);
         if writes.len() > MAX_ACCESSES_PER_EVENT {
@@ -137,7 +139,7 @@ impl CertCapture {
     /// software-validated ROT-tier transaction. The committer holds the
     /// sequence lock at `seq`, its read log just revalidated, so the full
     /// read check applies ([`EventKind::Software`]).
-    pub(crate) fn commit_soft(&mut self, seq: u64, write_buf: &HashMap<WordAddr, u64>) {
+    pub(crate) fn commit_soft(&mut self, seq: u64, write_buf: &FastMap<WordAddr, u64>) {
         let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
         writes.sort_unstable_by_key(|&(a, _)| a);
         if writes.len() > MAX_ACCESSES_PER_EVENT {
@@ -435,7 +437,7 @@ mod tests {
         let mut c = CertCapture::new(1);
         c.begin_block();
         c.on_read(WordAddr(9), 3);
-        let mut buf = HashMap::new();
+        let mut buf = FastMap::default();
         buf.insert(WordAddr(5), 50);
         buf.insert(WordAddr(2), 20);
         c.commit_soft(7, &buf);

@@ -16,7 +16,6 @@
 //!   zEC12 constrained-transaction limit checking.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,8 +23,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use htm_core::{
-    Abort, AbortCause, AbortedAttempt, Clock, ConflictPolicy, EventKind, LineId, Segment, SlotId,
-    SyncClock, ThreadAlloc, TxEvent, TxMemory, TxResult, WordAddr,
+    Abort, AbortCause, AbortedAttempt, Clock, ConflictPolicy, EventKind, FastMap, FastSet, LineId,
+    Segment, SlotId, SyncClock, ThreadAlloc, TxEvent, TxMemory, TxResult, WordAddr,
 };
 use htm_hytm::{cost as hytm_cost, SoftLog, REVALIDATE_PERIOD, STM_MAX_ACCESSES};
 use htm_machine::{Machine, Prefetcher, Tracker};
@@ -68,7 +67,7 @@ struct ConstrainedState {
     max_bytes: u32,
     /// Distinct words touched (the architecture bounds accessed *bytes*,
     /// not conflict-detection lines).
-    words: std::collections::HashSet<WordAddr>,
+    words: FastSet<WordAddr>,
 }
 
 /// Per-thread transaction engine.
@@ -87,9 +86,9 @@ pub struct TxnEngine {
     alloc: ThreadAlloc,
     tracker: Tracker,
     prefetcher: Prefetcher,
-    read_lines: HashSet<LineId>,
-    write_lines: HashSet<LineId>,
-    write_buf: HashMap<WordAddr, u64>,
+    read_lines: FastSet<LineId>,
+    write_lines: FastSet<LineId>,
+    write_buf: FastMap<WordAddr, u64>,
     aborted: Option<AbortCause>,
     suspend_depth: u32,
     rollback_only: bool,
@@ -151,10 +150,10 @@ pub struct TxnEngine {
     /// Lines whose tracking overflowed and was spilled to software this
     /// attempt (their reads are value-logged, their stores buffered in
     /// [`TxnEngine::spill_writes`]).
-    spilled_lines: HashSet<LineId>,
+    spilled_lines: FastSet<LineId>,
     /// Buffered stores to spilled (untracked) lines; published with
     /// dooming non-transactional stores inside the commit's epoch window.
-    spill_writes: HashMap<WordAddr, u64>,
+    spill_writes: FastMap<WordAddr, u64>,
     /// Shared hybrid-TM write epoch (a seqlock: odd while any committer is
     /// writing back in place). Installed only when the run's fallback
     /// policy is a software tier; `None` keeps the pure-HTM paths
@@ -211,9 +210,9 @@ impl TxnEngine {
             alloc,
             tracker,
             prefetcher,
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            write_buf: HashMap::new(),
+            read_lines: FastSet::default(),
+            write_lines: FastSet::default(),
+            write_buf: FastMap::default(),
             aborted: None,
             suspend_depth: 0,
             rollback_only: false,
@@ -242,8 +241,8 @@ impl TxnEngine {
             soft_epoch_seen: 0,
             rot_soft: false,
             spill_mode: false,
-            spilled_lines: HashSet::new(),
-            spill_writes: HashMap::new(),
+            spilled_lines: FastSet::default(),
+            spill_writes: FastMap::default(),
             hybrid_epoch: None,
             stats: ThreadStats::default(),
             tracer: None,
@@ -452,7 +451,7 @@ impl TxnEngine {
             ConstrainedState {
                 accesses_left: lim.max_accesses,
                 max_bytes: lim.max_bytes,
-                words: std::collections::HashSet::new(),
+                words: FastSet::default(),
             }
         });
         if let Some(pool) = self.machine.spec_ids() {
@@ -574,9 +573,9 @@ impl TxnEngine {
                     self.epoch_bump(); // odd: write-back in place (hybrid only)
                 }
                 if htm_core::coop::enabled() {
-                    // Model-checked run: flush in address order (HashMap
-                    // iteration is per-process random, which would make
-                    // counterexample schedules unreplayable across runs) and
+                    // Model-checked run: flush in address order (hash-table
+                    // order depends on the table's insertion history, not
+                    // on anything a counterexample schedule records) and
                     // pause before each store so torn write-backs are
                     // explorable interleavings.
                     let mut stores: Vec<(WordAddr, u64)> =
@@ -838,9 +837,9 @@ impl TxnEngine {
             self.epoch_bump(); // even: write-back published
         }
         if self.trace_footprints {
-            let rl: HashSet<LineId> =
+            let rl: FastSet<LineId> =
                 self.soft_log.entries().iter().map(|&(a, _)| self.mem.line_of(a)).collect();
-            let wl: HashSet<LineId> = self.write_buf.keys().map(|&a| self.mem.line_of(a)).collect();
+            let wl: FastSet<LineId> = self.write_buf.keys().map(|&a| self.mem.line_of(a)).collect();
             self.stats.footprints.push((rl.len() as u32, wl.len() as u32));
         }
         self.write_buf.clear();

@@ -10,6 +10,7 @@
 //! capacity even fits the snapshot, and any two concurrent routings
 //! conflict through it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -60,6 +61,11 @@ impl LabyrinthConfig {
 const FREE: u64 = 0;
 const WALL: u64 = u64::MAX;
 
+/// [`Router`] marks: a free cell not reached yet, and a cell no route may
+/// enter (wall, earlier path or padding). Real distances stay below both.
+const UNVISITED: u32 = u32::MAX;
+const BLOCKED: u32 = u32::MAX - 1;
+
 /// Request record: `[src, dst, routed_len]` (`routed_len` = path cells on
 /// success, 0 if unrouted).
 const REQ_SRC: u32 = 0;
@@ -93,32 +99,128 @@ impl Labyrinth {
             failed: AtomicU64::new(0),
         }
     }
+}
 
-    fn neighbors(&self, idx: u32) -> impl Iterator<Item = u32> {
-        let (x, y, z) = (self.cfg.x, self.cfg.y, self.cfg.z);
-        let cx = idx % x;
-        let cy = (idx / x) % y;
-        let cz = idx / (x * y);
-        let mut out = Vec::with_capacity(6);
-        if cx > 0 {
-            out.push(idx - 1);
+/// Lee's-algorithm router over one worker's private copy of the grid.
+///
+/// The copy is a `u32` distance grid padded with one blocked cell at the
+/// end of every row and one blocked row at the end of every layer, so the
+/// six neighbours of a cell are constant index offsets: a step off the grid
+/// in x or y lands on padding (the row or layer before a cell also ends in
+/// padding), and a step off in z falls outside the array. The search needs
+/// no division and no per-axis bounds test. Neighbours are visited in the
+/// order −x, +x, −y, +y, −z, +z.
+struct Router {
+    cfg: LabyrinthConfig,
+    /// Padded row length (`x + 1`).
+    row: u32,
+    /// Padded layer size (`(x + 1) * (y + 1)`).
+    layer: u32,
+    dist: Vec<u32>,
+    frontier: VecDeque<u32>,
+}
+
+impl Router {
+    fn new(cfg: LabyrinthConfig) -> Router {
+        let row = cfg.x + 1;
+        let layer = row * (cfg.y + 1);
+        Router {
+            cfg,
+            row,
+            layer,
+            dist: vec![BLOCKED; (layer * cfg.z) as usize],
+            frontier: VecDeque::new(),
         }
-        if cx + 1 < x {
-            out.push(idx + 1);
+    }
+
+    /// Index offsets of the six neighbours, wrapping for negative steps (a
+    /// wrapped index past the array end is off the grid).
+    fn steps(&self) -> [u32; 6] {
+        [
+            1u32.wrapping_neg(),
+            1,
+            self.row.wrapping_neg(),
+            self.row,
+            self.layer.wrapping_neg(),
+            self.layer,
+        ]
+    }
+
+    /// Padded index of grid cell `i`.
+    fn padded(&self, i: u32) -> u32 {
+        let r = i / self.cfg.x; // row counted across layers
+        (r + r / self.cfg.y) * self.row + i % self.cfg.x
+    }
+
+    /// Grid cell at padded index `p`.
+    fn cell(&self, p: u32) -> u32 {
+        let r = p / self.row;
+        (r - r / (self.cfg.y + 1)) * self.cfg.x + p % self.row
+    }
+
+    /// Fills the grid copy from `load(i)` for every grid cell `i`, in index
+    /// order; a cell is open iff it loads as [`FREE`].
+    fn load<E>(&mut self, mut load: impl FnMut(u32) -> Result<u64, E>) -> Result<(), E> {
+        let (x, y) = (self.cfg.x as usize, self.cfg.y as usize);
+        let mut i = 0;
+        for layer in self.dist.chunks_exact_mut(self.layer as usize) {
+            for row in layer.chunks_exact_mut(self.row as usize).take(y) {
+                for d in &mut row[..x] {
+                    *d = if load(i)? == FREE { UNVISITED } else { BLOCKED };
+                    i += 1;
+                }
+            }
         }
-        if cy > 0 {
-            out.push(idx - x);
+        Ok(())
+    }
+
+    /// Routes grid cell `src` to `dst` on the loaded copy.
+    ///
+    /// Returns `None`, without searching, if an endpoint is not free.
+    /// Otherwise returns the number of cells the breadth-first search
+    /// expanded, and fills `path` with the route's cells from `dst` back to
+    /// `src` (left empty if `dst` is unreachable).
+    fn route(&mut self, src: u32, dst: u32, path: &mut Vec<u32>) -> Option<u64> {
+        path.clear();
+        let (src, dst) = (self.padded(src), self.padded(dst));
+        if self.dist[src as usize] != UNVISITED || self.dist[dst as usize] != UNVISITED {
+            return None;
         }
-        if cy + 1 < y {
-            out.push(idx + x);
+        let steps = self.steps();
+        let dist = &mut self.dist;
+        dist[src as usize] = 0;
+        self.frontier.clear();
+        self.frontier.push_back(src);
+        let mut expanded = 0u64;
+        while let Some(c) = self.frontier.pop_front() {
+            if c == dst {
+                break;
+            }
+            expanded += 1;
+            let next = dist[c as usize] + 1;
+            for step in steps {
+                let n = c.wrapping_add(step);
+                if dist.get(n as usize) == Some(&UNVISITED) {
+                    dist[n as usize] = next;
+                    self.frontier.push_back(n);
+                }
+            }
         }
-        if cz > 0 {
-            out.push(idx - x * y);
+        if self.dist[dst as usize] != UNVISITED {
+            // Trace back, always to the first neighbour one step closer.
+            let mut cur = dst;
+            path.push(self.cell(cur));
+            while cur != src {
+                let want = self.dist[cur as usize] - 1;
+                cur = steps
+                    .iter()
+                    .map(|&step| cur.wrapping_add(step))
+                    .find(|&n| self.dist.get(n as usize) == Some(&want))
+                    .expect("broken BFS parent chain");
+                path.push(self.cell(cur));
+            }
         }
-        if cz + 1 < z {
-            out.push(idx + x * y);
-        }
-        out.into_iter()
+        Some(expanded)
     }
 }
 
@@ -164,11 +266,9 @@ impl Workload for Labyrinth {
     }
 
     fn work(&self, ctx: &mut ThreadCtx) {
-        let cfg = self.cfg;
         let sh = self.shared.get().expect("setup not run");
-        let cells = cfg.cells();
-        let mut snapshot = vec![0u64; cells as usize];
-        let mut dist = vec![u32::MAX; cells as usize];
+        let mut router = Router::new(self.cfg);
+        let mut path = Vec::new();
 
         while let Some(req) = ctx.atomic(|tx| sh.queue.pop(tx)) {
             let req = WordAddr::from_repr(req);
@@ -177,49 +277,18 @@ impl Workload for Labyrinth {
                 let dst = tx.load(req.offset(REQ_DST))? as u32;
                 // Snapshot the whole grid inside the transaction (STAMP's
                 // grid_copy): the entire grid joins the read set.
-                for i in 0..cells {
-                    snapshot[i as usize] = tx.load(sh.grid.offset(i))?;
-                }
+                router.load(|i| tx.load(sh.grid.offset(i)))?;
                 // Endpoints may have been covered by an earlier path since
                 // the request was generated; such a request is unroutable.
-                if snapshot[src as usize] != FREE || snapshot[dst as usize] != FREE {
+                let Some(expanded) = router.route(src, dst, &mut path) else {
                     return Ok(0u64);
-                }
-                // Lee's algorithm (BFS) on the private snapshot.
-                dist.fill(u32::MAX);
-                dist[src as usize] = 0;
-                let mut frontier = std::collections::VecDeque::new();
-                frontier.push_back(src);
-                let mut expanded = 0u64;
-                while let Some(c) = frontier.pop_front() {
-                    if c == dst {
-                        break;
-                    }
-                    expanded += 1;
-                    for n in self.neighbors(c) {
-                        if snapshot[n as usize] == FREE && dist[n as usize] == u32::MAX {
-                            dist[n as usize] = dist[c as usize] + 1;
-                            frontier.push_back(n);
-                        }
-                    }
-                }
+                };
                 tx.tick(expanded * 4);
-                if dist[dst as usize] == u32::MAX {
+                if path.is_empty() {
                     return Ok(0u64); // unroutable in this snapshot
                 }
-                // Trace back and write the path.
+                // Write the path.
                 let id = req.to_repr(); // unique nonzero path id
-                let mut path = vec![dst];
-                let mut cur = dst;
-                while cur != src {
-                    let d = dist[cur as usize];
-                    let prev = self
-                        .neighbors(cur)
-                        .find(|&n| dist[n as usize] == d.wrapping_sub(1))
-                        .expect("broken BFS parent chain");
-                    path.push(prev);
-                    cur = prev;
-                }
                 for &c in &path {
                     tx.store(sh.grid.offset(c), id)?;
                 }
@@ -312,6 +381,126 @@ mod tests {
             stats.irrevocable_commits() > 0,
             "grid snapshots cannot fit the TMCAM; must fall back"
         );
+    }
+
+    /// Neighbours of `idx` by coordinate arithmetic, in the router's order
+    /// (the pre-padding implementation, kept as the reference).
+    fn neighbors(cfg: &LabyrinthConfig, idx: u32) -> impl Iterator<Item = u32> {
+        let (x, y, z) = (cfg.x, cfg.y, cfg.z);
+        let cx = idx % x;
+        let cy = (idx / x) % y;
+        let cz = idx / (x * y);
+        let mut out = Vec::with_capacity(6);
+        if cx > 0 {
+            out.push(idx - 1);
+        }
+        if cx + 1 < x {
+            out.push(idx + 1);
+        }
+        if cy > 0 {
+            out.push(idx - x);
+        }
+        if cy + 1 < y {
+            out.push(idx + x);
+        }
+        if cz > 0 {
+            out.push(idx - x * y);
+        }
+        if cz + 1 < z {
+            out.push(idx + x * y);
+        }
+        out.into_iter()
+    }
+
+    /// The reference router: Lee's BFS over the raw snapshot, with the same
+    /// contract as [`Router::route`] (`None` = an endpoint is not free;
+    /// an empty path = unreachable).
+    fn reference_route(
+        cfg: &LabyrinthConfig,
+        snapshot: &[u64],
+        src: u32,
+        dst: u32,
+    ) -> Option<(u64, Vec<u32>)> {
+        if snapshot[src as usize] != FREE || snapshot[dst as usize] != FREE {
+            return None;
+        }
+        let mut dist = vec![u32::MAX; snapshot.len()];
+        dist[src as usize] = 0;
+        let mut frontier = VecDeque::from([src]);
+        let mut expanded = 0u64;
+        while let Some(c) = frontier.pop_front() {
+            if c == dst {
+                break;
+            }
+            expanded += 1;
+            for n in neighbors(cfg, c) {
+                if snapshot[n as usize] == FREE && dist[n as usize] == u32::MAX {
+                    dist[n as usize] = dist[c as usize] + 1;
+                    frontier.push_back(n);
+                }
+            }
+        }
+        if dist[dst as usize] == u32::MAX {
+            return Some((expanded, Vec::new()));
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            let d = dist[cur as usize];
+            cur = neighbors(cfg, cur).find(|&n| dist[n as usize] == d - 1).unwrap();
+            path.push(cur);
+        }
+        Some((expanded, path))
+    }
+
+    #[test]
+    fn router_matches_the_reference_bfs() {
+        let mut rng = SmallRng::seed_from_u64(0x1ab);
+        // Degenerate axes (x = 1, y = 1, z = 1) first, then random shapes.
+        let mut dims = vec![(1, 1, 1), (1, 6, 1), (6, 1, 1), (1, 1, 5), (1, 5, 3), (5, 1, 3)];
+        for _ in 0..40 {
+            dims.push((rng.gen_range(1..8), rng.gen_range(1..8), rng.gen_range(1..4)));
+        }
+        let (mut blocked, mut unreachable, mut routed) = (0, 0, 0);
+        let mut path = Vec::new();
+        for &(x, y, z) in &dims {
+            let cfg = LabyrinthConfig { x, y, z, n_requests: 0, wall_pct: 0 };
+            let cells = cfg.cells();
+            let wall_pct = rng.gen_range(0..50);
+            let mut grid: Vec<u64> = (0..cells)
+                .map(|_| match rng.gen_range(0..100) {
+                    p if p < wall_pct => WALL,
+                    p if p < wall_pct + 5 => 1000 + p as u64, // an earlier path
+                    _ => FREE,
+                })
+                .collect();
+            // One free cell walled in on every side.
+            let walled = rng.gen_range(0..cells);
+            for n in neighbors(&cfg, walled) {
+                grid[n as usize] = WALL;
+            }
+            grid[walled as usize] = FREE;
+            // Every cell (so every face and corner) as source and as target.
+            let mut pairs = Vec::new();
+            for c in 0..cells {
+                pairs.extend([(c, rng.gen_range(0..cells)), (rng.gen_range(0..cells), c)]);
+                pairs.extend([(walled, c), (c, walled)]);
+            }
+            // One router reused across routes, as a worker reuses it.
+            let mut router = Router::new(cfg);
+            for (src, dst) in pairs {
+                router.load(|i| Ok::<u64, ()>(grid[i as usize])).unwrap();
+                let got = router.route(src, dst, &mut path).map(|e| (e, path.clone()));
+                let want = reference_route(&cfg, &grid, src, dst);
+                assert_eq!(got, want, "{x}x{y}x{z} grid, {src} -> {dst}");
+                match want {
+                    None => blocked += 1,
+                    Some((_, p)) if p.is_empty() => unreachable += 1,
+                    Some(_) => routed += 1,
+                }
+            }
+        }
+        assert!(blocked > 0 && unreachable > 0 && routed > 0, "{blocked}/{unreachable}/{routed}");
     }
 
     #[test]
