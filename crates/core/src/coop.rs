@@ -1,14 +1,16 @@
-//! Cooperative-scheduling hooks for the model checker.
+//! Cooperative-scheduling hooks.
 //!
-//! The systematic concurrency explorer in `htm-model` needs to drive the
-//! *real* engine through chosen interleavings. Rather than fork the engine,
-//! the substrate exposes a thin per-thread hook layer: when a controller is
-//! installed on a thread, the engine calls [`point`] at its scheduling
-//! points (block start, pre-commit, each write-back store, and every spin
-//! that waits on another thread) and [`access`] on every line-granular
-//! memory access. The controller parks the thread at each point and records
-//! the access footprint, which is exactly what dynamic partial-order
-//! reduction needs.
+//! Two kinds of run drive the *real* engine through chosen interleavings:
+//! the schedule explorer in `htm-model` and the deterministic svc service
+//! cells. Both run on `htm_runtime::sched`, and rather than fork the
+//! engine, the substrate exposes a thin per-thread hook layer for it: when
+//! a scheduler's hooks are installed on a thread, the engine calls
+//! [`point`] at its scheduling points (block start, pre-commit, each
+//! write-back store, and every spin that waits on another thread) and
+//! [`access`] on every line-granular memory access. The scheduler parks
+//! the thread at each point until it grants it the next step, and hands
+//! each step's accesses to its policy (the explorer keeps them as the
+//! footprint dynamic partial-order reduction needs).
 //!
 //! When no hooks are installed (every ordinary run), [`enabled`] is a
 //! thread-local boolean read and both entry points are no-ops, so the
@@ -35,14 +37,16 @@ pub enum CoopPoint {
     /// arena (fires once per store, so torn write-backs are explorable).
     WriteBack,
     /// The thread is spinning on a condition only another thread can change
-    /// (a held lock, a committing slot, an odd epoch). The controller must
-    /// not reschedule it until some other thread makes progress.
+    /// (a held lock, a committing slot, an odd epoch). Granting it again
+    /// only re-checks the condition. The scheduler's policy decides when:
+    /// round-robin probes it in its turn, the model checker only once no
+    /// other thread is runnable.
     Blocked,
 }
 
-/// Controller interface installed per worker thread.
+/// Scheduler interface installed per worker thread.
 pub trait CoopHooks {
-    /// Called at each scheduling point; blocks until the controller grants
+    /// Called at each scheduling point; blocks until the scheduler grants
     /// this thread the right to continue.
     fn pause(&self, point: CoopPoint);
     /// Reports one line-granular access (line id, is-write) for footprint

@@ -641,8 +641,7 @@ impl TxMemory {
     /// transactional readers and writers.
     pub fn nontx_store(&self, by: Option<SlotId>, addr: WordAddr, value: u64) {
         crate::coop::access(self.line_of(addr).0 as u64, true);
-        self.invalidate_line_for_nontx(self.line_of(addr), by);
-        self.word(addr).store(value, SeqCst);
+        self.write_nontx(self.line_of(addr), by, || self.word(addr).store(value, SeqCst));
     }
 
     /// Non-transactional compare-and-swap on `addr` by `by`.
@@ -658,22 +657,30 @@ impl TxMemory {
         new: u64,
     ) -> Result<u64, u64> {
         crate::coop::access(self.line_of(addr).0 as u64, true);
-        self.invalidate_line_for_nontx(self.line_of(addr), by);
-        self.word(addr).compare_exchange(expected, new, SeqCst, SeqCst)
+        self.write_nontx(self.line_of(addr), by, || {
+            self.word(addr).compare_exchange(expected, new, SeqCst, SeqCst)
+        })
     }
 
     /// Non-transactional fetch-add on `addr` by `by`, returning the previous
     /// value.
     pub fn nontx_fetch_add(&self, by: Option<SlotId>, addr: WordAddr, delta: u64) -> u64 {
         crate::coop::access(self.line_of(addr).0 as u64, true);
-        self.invalidate_line_for_nontx(self.line_of(addr), by);
-        self.word(addr).fetch_add(delta, SeqCst)
+        self.write_nontx(self.line_of(addr), by, || self.word(addr).fetch_add(delta, SeqCst))
     }
 
-    /// Dooms every transaction (other than `by`'s) with `line` in its
-    /// footprint, waiting out a committing writer, exactly as an
-    /// invalidating coherence request would.
-    fn invalidate_line_for_nontx(&self, line: LineId, by: Option<SlotId>) {
+    /// Performs `write` to `line` as an invalidating coherence request
+    /// would: waits out a committing writer, dooms every transaction (other
+    /// than `by`'s) with `line` in its footprint, writes, and dooms the
+    /// readers again.
+    ///
+    /// A reader sets its bit before it reads the value, so the sweep after
+    /// the write catches every reader that arrived after the first sweep
+    /// and may have read the old value; later readers read the new one.
+    /// Without it, a transaction that subscribed to the global lock between
+    /// a fallback's first sweep and its lock CAS saw the lock free and
+    /// committed an update the irrevocable section then overwrote.
+    fn write_nontx<R>(&self, line: LineId, by: Option<SlotId>, write: impl FnOnce() -> R) -> R {
         let (readers, writer) = (self.readers(line), self.writer(line));
         let mut spins = 0u64;
         loop {
@@ -689,10 +696,15 @@ impl TxMemory {
             }
         }
         let skip = by.map(|s| s.mask()).unwrap_or(0);
-        let others = readers.load(SeqCst) & !skip;
-        for victim in BitIter(others) {
-            let _ = self.try_doom_from(victim, AbortCause::ConflictNonTx, by, line);
-        }
+        let doom_readers = || {
+            for victim in BitIter(readers.load(SeqCst) & !skip) {
+                let _ = self.try_doom_from(victim, AbortCause::ConflictNonTx, by, line);
+            }
+        };
+        doom_readers();
+        let result = write();
+        doom_readers();
+        result
     }
 
     /// Dooms every live transaction (a big-hammer invalidation, available
@@ -708,9 +720,10 @@ impl TxMemory {
 
     #[inline]
     fn spin(&self, spins: &mut u64) {
-        // Under the model checker's cooperative scheduler the condition we
-        // spin on can only change when another thread is granted a step, so
-        // park instead of burning the spin budget against a paused peer.
+        // Under a cooperative scheduler (`htm_runtime::sched`) the
+        // condition we spin on can only change when another thread is
+        // granted a step, so park instead of burning the spin budget
+        // against a paused peer.
         crate::coop::point(crate::coop::CoopPoint::Blocked);
         *spins += 1;
         assert!(*spins < SPIN_LIMIT, "conflict-protocol deadlock (spin limit exceeded)");
@@ -960,6 +973,26 @@ mod tests {
         assert!(m.doom_cause(r).is_some());
         assert_eq!(m.doom_cause(w), Some(AbortCause::ConflictNonTx));
         assert_eq!(m.read_word(addr), 7);
+    }
+
+    #[test]
+    fn a_reader_arriving_during_a_nontx_write_is_doomed() {
+        // A transaction subscribes to the line after the write's first
+        // reader sweep and reads the old value before the write lands; the
+        // sweep after the write must still doom it.
+        let m = mem();
+        let r = SlotId(0);
+        let addr = WordAddr(100);
+        let line = m.line_of(addr);
+        let old = m.write_nontx(line, None, || {
+            m.begin_slot(r);
+            m.tx_read_line(r, line, ConflictPolicy::RequesterWins).unwrap();
+            let old = m.read_word(addr);
+            m.word(addr).store(7, SeqCst);
+            old
+        });
+        assert_eq!(old, 0);
+        assert_eq!(m.doom_cause(r), Some(AbortCause::ConflictNonTx));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use htm_machine::{BgqMode, MachineConfig, Platform};
 use htm_runtime::{FallbackPolicy, RetryPolicy, Sim, SimConfig};
 
 use crate::kernel::Kernel;
-use crate::sched::{conflicts, Controller, Decision, Footprint, SchedAbort};
+use crate::sched::{conflicts, Controller, Decision, Explorer, Footprint, SchedAbort};
 
 /// Which rung of the fallback ladder the kernel's blocks exercise.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -394,12 +394,11 @@ fn execute(cfg: &ModelConfig, forced: &[u32]) -> RunRecord {
     cfg.bug.arm(sim.mem());
     let n = cfg.kernel.nthreads();
     let (_, policy) = cfg.tier.policy();
-    let ctrl = match cfg.mode {
-        Mode::BoundedPreemption(b) => {
-            Controller::with_preemption_bound(n, forced.to_vec(), cfg.max_steps, b)
-        }
-        _ => Controller::new(n, forced.to_vec(), cfg.max_steps),
+    let bound = match cfg.mode {
+        Mode::BoundedPreemption(b) => Some(b),
+        _ => None,
     };
+    let ctrl = Controller::with_policy(n, Explorer::new(n, forced.to_vec(), cfg.max_steps, bound));
     let kernel = &cfg.kernel;
     let result = sim.try_run_parallel(n, policy, |ctx| {
         let tid = ctx.thread_id();
@@ -408,7 +407,7 @@ fn execute(cfg: &ModelConfig, forced: &[u32]) -> RunRecord {
         ctrl.register(tid);
         kernel.run_thread(ctx, tid, &addrs);
     });
-    let (log, abort) = ctrl.take_result();
+    let (log, abort) = ctrl.policy(Explorer::take_result);
     match result {
         Ok(stats) => RunRecord {
             log,

@@ -12,9 +12,9 @@
 //!
 //! The pieces:
 //!
-//! * [`sched`] — the [`Controller`](sched::Controller): one-runnable-thread
-//!   cooperative scheduling with forced-prefix replay, per-step access
-//!   footprints, and deadlock/starvation verdicts;
+//! * [`sched`] — the [`Explorer`](sched::Explorer) policy on
+//!   `htm_runtime`'s cooperative scheduler: forced-prefix replay, per-step
+//!   access footprints, and deadlock/starvation verdicts;
 //! * [`kernel`] — loop-free multi-threaded micro-programs (2–3 threads,
 //!   2–4 blocks) plus the default suite;
 //! * [`explore`] — the schedule enumerator: naive full branching, DPOR
@@ -37,5 +37,5 @@ pub use explore::{
     ModelConfig, SeededBug, Tier, ViolationClass, ALL_TIERS,
 };
 pub use kernel::{Kernel, Op};
-pub use sched::{conflicts, Controller, Decision, Footprint, SchedAbort};
+pub use sched::{conflicts, Controller, Decision, Explorer, Footprint, SchedAbort};
 pub use trace::ModelTrace;

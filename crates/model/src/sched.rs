@@ -1,32 +1,30 @@
-//! The cooperative schedule controller.
+//! The model checker's schedule policy.
 //!
-//! One [`Controller`] drives one execution of a kernel: every worker thread
-//! installs a [`ControllerHooks`] handle as its `htm_core::coop` hook set,
-//! registers, and from then on runs only while it holds the controller's
-//! grant. Exactly one thread runs at a time; at every scheduling point the
-//! pausing thread updates the shared state, picks the next thread (obeying
-//! a forced schedule prefix when the explorer replays or extends a path),
-//! and parks until re-granted.
+//! One [`Controller`] drives one execution of a kernel. It is the shared
+//! cooperative scheduler of `htm_runtime::sched` (one runnable thread,
+//! per-thread grants, per-step access collection, one abort path) with the
+//! [`Explorer`] policy deciding every grant: it obeys a forced schedule
+//! prefix when the explorer replays or extends a path, and past it keeps
+//! the previously running thread.
 //!
 //! A *step* is everything a thread executes between two of its own pauses.
-//! The controller records, per step, the chosen thread, the candidate set
-//! the choice was made from, and the line-granular access footprint — the
+//! The explorer records, per step, the chosen thread, the candidate set
+//! the choice was made from, and the line-granular access footprint: the
 //! inputs dynamic partial-order reduction needs.
 //!
 //! Threads that pause at [`CoopPoint::Blocked`] observed a condition only
 //! another thread can change (a held lock, a committing slot, an odd
-//! epoch). They are *disabled*: the controller does not schedule them while
-//! any other thread is runnable, and re-enables them after any other thread
-//! completes a step. Scheduling a blocked thread early would only re-run
-//! its spin poll, so excluding it loses no behaviors. When every live
-//! thread is blocked for several consecutive rounds the schedule is a
-//! deadlock; a global step bound catches livelock/starvation.
+//! epoch). They are *disabled*: the explorer grants them only when no
+//! thread is Ready, and then probes them in turn. Scheduling a blocked
+//! thread earlier would only re-run its spin poll, so excluding it loses no
+//! behaviors. When every live thread stays blocked through 16n+16
+//! consecutive probe rounds the schedule is a deadlock; a global step bound
+//! catches livelock/starvation.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::{Arc, Condvar, Mutex};
 
-use htm_core::coop::{CoopHooks, CoopPoint};
+use htm_core::coop::CoopPoint;
+use htm_runtime::sched::{Policy, Scheduler, ThreadState};
 
 /// Line-granular step footprint: line id → whether the step wrote it.
 /// [`htm_core::coop::EPOCH_LINE`] stands in for the hybrid commit epoch.
@@ -40,13 +38,6 @@ pub fn conflicts(a: &Footprint, b: &Footprint) -> bool {
         Some(&w2) => w || w2,
         None => false,
     })
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThreadState {
-    Ready,
-    Blocked,
-    Done,
 }
 
 /// One scheduling decision: which thread was granted a step, out of which
@@ -90,182 +81,99 @@ impl SchedAbort {
 /// schedule down through the executor's worker-panic recovery.
 pub const ABORT_PANIC_PREFIX: &str = "htm-model schedule abort";
 
-struct SchedState {
-    status: Vec<ThreadState>,
-    registered: u32,
-    /// Thread currently granted the right to run (`None` once all done).
-    current: Option<u32>,
-    /// Previously granted thread (the no-switch default choice).
-    prev: Option<u32>,
+/// The shared cooperative scheduler driven by the [`Explorer`] policy.
+pub type Controller = Scheduler<Explorer>;
+
+/// The explorer's grant policy and decision log for one execution.
+pub struct Explorer {
+    max_steps: u64,
+    preemption_bound: Option<u32>,
     forced: Vec<u32>,
     log: Vec<Decision>,
     /// Index into `log` of each thread's open (unfinished) step.
     open: Vec<Option<usize>>,
-    /// Footprint accumulating for each thread's open step.
-    cur_fp: Vec<Footprint>,
-    /// Consecutive grant rounds where only blocked threads were runnable.
-    blocked_streak: u32,
     preemptions: u32,
     abort: Option<SchedAbort>,
 }
 
-/// Shared scheduler for one controlled execution.
-pub struct Controller {
-    nthreads: u32,
-    max_steps: u64,
-    preemption_bound: Option<u32>,
-    inner: Mutex<SchedState>,
-    cv: Condvar,
-}
-
-impl Controller {
+impl Explorer {
     /// `forced` pins the first `forced.len()` grants; past the prefix the
     /// default policy picks (deterministically) the previously running
     /// thread if still runnable, else the lowest-numbered runnable thread.
-    pub fn new(nthreads: u32, forced: Vec<u32>, max_steps: u64) -> Arc<Controller> {
-        Arc::new(Controller {
-            nthreads,
-            max_steps,
-            preemption_bound: None,
-            inner: Mutex::new(SchedState {
-                status: vec![ThreadState::Ready; nthreads as usize],
-                registered: 0,
-                current: None,
-                prev: None,
-                forced,
-                log: Vec::new(),
-                open: vec![None; nthreads as usize],
-                cur_fp: vec![Footprint::new(); nthreads as usize],
-                blocked_streak: 0,
-                preemptions: 0,
-                abort: None,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Like [`Controller::new`] but capping preemptive context switches: a
-    /// switch away from a still-runnable thread consumes one unit of
-    /// `bound`; once exhausted, a runnable thread keeps running until it
-    /// blocks or finishes.
-    pub fn with_preemption_bound(
+    /// A `preemption_bound` caps preemptive context switches: a switch away
+    /// from a still-runnable thread consumes one unit; once exhausted, a
+    /// runnable thread keeps running until it blocks or finishes.
+    pub fn new(
         nthreads: u32,
         forced: Vec<u32>,
         max_steps: u64,
-        bound: u32,
-    ) -> Arc<Controller> {
-        let mut c = Controller::new(nthreads, forced, max_steps);
-        Arc::get_mut(&mut c).expect("fresh controller").preemption_bound = Some(bound);
-        c
-    }
-
-    /// Per-thread hook handle for [`htm_core::coop::install`].
-    pub fn hooks(self: &Arc<Controller>, tid: u32) -> Rc<ControllerHooks> {
-        Rc::new(ControllerHooks { ctrl: Arc::clone(self), tid })
-    }
-
-    /// Registers thread `tid` and parks until the first grant. Every worker
-    /// must call this exactly once, before touching shared state.
-    pub fn register(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap();
-        s.registered += 1;
-        if s.registered == self.nthreads {
-            self.grant_next(&mut s);
+        preemption_bound: Option<u32>,
+    ) -> Explorer {
+        Explorer {
+            max_steps,
+            preemption_bound,
+            forced,
+            log: Vec::new(),
+            open: vec![None; nthreads as usize],
+            preemptions: 0,
+            abort: None,
         }
-        self.wait_for_grant(s, tid);
-    }
-
-    /// RAII completion guard: marks the thread done on drop (normal exit
-    /// *and* unwind), so a panicking worker cannot strand its siblings.
-    pub fn finish_guard(self: &Arc<Controller>, tid: u32) -> FinishGuard {
-        FinishGuard { ctrl: Arc::clone(self), tid }
     }
 
     /// Drains the decision log and the abort verdict after the run.
-    pub fn take_result(&self) -> (Vec<Decision>, Option<SchedAbort>) {
-        let mut s = self.inner.lock().unwrap();
-        (std::mem::take(&mut s.log), s.abort.clone())
+    pub fn take_result(&mut self) -> (Vec<Decision>, Option<SchedAbort>) {
+        (std::mem::take(&mut self.log), self.abort.clone())
     }
 
-    fn pause(&self, tid: u32, point: CoopPoint) {
-        let mut s = self.inner.lock().unwrap();
-        self.close_step(&mut s, tid, Some(point));
-        s.status[tid as usize] = if point == CoopPoint::Blocked {
-            ThreadState::Blocked
-        } else {
-            s.blocked_streak = 0;
-            ThreadState::Ready
-        };
-        if s.current == Some(tid) {
-            s.prev = Some(tid);
-            s.current = None;
-            self.grant_next(&mut s);
+    /// Records `verdict` and returns the diagnostic every thread unwinds
+    /// with; the explorer reads the structured verdict afterwards.
+    fn abort(&mut self, verdict: SchedAbort) -> Result<u32, String> {
+        let msg = format!("{ABORT_PANIC_PREFIX}: {}", verdict.message());
+        self.abort = Some(verdict);
+        Err(msg)
+    }
+}
+
+impl Policy for Explorer {
+    type Step = Footprint;
+
+    fn record(fp: &mut Footprint, line: u64, write: bool) {
+        *fp.entry(line).or_insert(false) |= write;
+    }
+
+    fn end_step(&mut self, tid: u32, point: Option<CoopPoint>, fp: Footprint) -> bool {
+        // Accesses of a thread with no open step belong to no step.
+        if let Some(i) = self.open[tid as usize].take() {
+            self.log[i].fp = fp;
+            self.log[i].end_point = point;
         }
-        self.wait_for_grant(s, tid);
+        false
     }
 
-    fn access(&self, tid: u32, line: u64, write: bool) {
-        let mut s = self.inner.lock().unwrap();
-        let e = s.cur_fp[tid as usize].entry(line).or_insert(false);
-        *e |= write;
-    }
-
-    fn finish(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap();
-        self.close_step(&mut s, tid, None);
-        s.status[tid as usize] = ThreadState::Done;
-        s.blocked_streak = 0;
-        if s.current == Some(tid) || s.current.is_none() {
-            s.prev = Some(tid);
-            s.current = None;
-            self.grant_next(&mut s);
-        }
-    }
-
-    fn close_step(&self, s: &mut SchedState, tid: u32, point: Option<CoopPoint>) {
-        if let Some(i) = s.open[tid as usize].take() {
-            s.log[i].fp = std::mem::take(&mut s.cur_fp[tid as usize]);
-            s.log[i].end_point = point;
-        } else {
-            // Accesses before the first grant (worker preamble) belong to no
-            // step; drop them rather than attributing them to a later one.
-            s.cur_fp[tid as usize].clear();
-        }
-    }
-
-    /// Picks and grants the next step. Caller holds the state lock.
-    fn grant_next(&self, s: &mut SchedState) {
-        if s.abort.is_some() {
-            self.cv.notify_all();
-            return;
-        }
-        let ready: Vec<u32> =
-            (0..self.nthreads).filter(|&t| s.status[t as usize] == ThreadState::Ready).collect();
-        let (mut candidates, promoted) = if !ready.is_empty() {
-            s.blocked_streak = 0;
-            (ready, false)
-        } else {
-            let blocked: Vec<u32> = (0..self.nthreads)
-                .filter(|&t| s.status[t as usize] == ThreadState::Blocked)
-                .collect();
-            if blocked.is_empty() {
-                // All threads done.
-                self.cv.notify_all();
-                return;
-            }
-            s.blocked_streak += 1;
-            if s.blocked_streak > 16 * self.nthreads + 16 {
-                s.abort = Some(SchedAbort::Deadlock(format!(
-                    "deadlock: threads {blocked:?} stayed blocked through {} probe rounds",
-                    s.blocked_streak
+    fn pick(
+        &mut self,
+        status: &[ThreadState],
+        prev: Option<u32>,
+        blocked_rounds: u32,
+    ) -> Result<u32, String> {
+        let n = status.len() as u32;
+        let in_state = |want| (0..n).filter(|&t| status[t as usize] == want).collect::<Vec<u32>>();
+        let ready = in_state(ThreadState::Ready);
+        let promoted = ready.is_empty();
+        let mut candidates = if promoted {
+            let blocked = in_state(ThreadState::Blocked);
+            if blocked_rounds > 16 * n + 16 {
+                return self.abort(SchedAbort::Deadlock(format!(
+                    "deadlock: threads {blocked:?} stayed blocked through {blocked_rounds} probe \
+                     rounds"
                 )));
-                self.cv.notify_all();
-                return;
             }
             // Probe one blocked thread (it will re-check its condition and
             // re-block if nothing changed); the others stay blocked so the
-            // streak keeps counting fruitless rounds.
-            (blocked, true)
+            // count of fruitless rounds keeps growing.
+            blocked
+        } else {
+            ready
         };
         // A spent preemption budget pins the schedule to the running thread
         // until it blocks or finishes. Probe rounds are exempt: a probe is
@@ -273,8 +181,8 @@ impl Controller {
         // threads of their re-check.
         if !promoted {
             if let Some(bound) = self.preemption_bound {
-                if s.preemptions >= bound {
-                    if let Some(p) = s.prev {
+                if self.preemptions >= bound {
+                    if let Some(p) = prev {
                         if candidates.contains(&p) {
                             candidates = vec![p];
                         }
@@ -282,17 +190,14 @@ impl Controller {
                 }
             }
         }
-        let pos = s.log.len();
-        let chosen = if pos < s.forced.len() {
-            let t = s.forced[pos];
-            if t >= self.nthreads || s.status[t as usize] == ThreadState::Done {
-                s.abort = Some(SchedAbort::Divergence(format!(
+        let pos = self.log.len();
+        let chosen = if pos < self.forced.len() {
+            let t = self.forced[pos];
+            if t >= n || status[t as usize] == ThreadState::Done {
+                return self.abort(SchedAbort::Divergence(format!(
                     "forced schedule picks thread {t} at step {pos}, but it is not runnable"
                 )));
-                self.cv.notify_all();
-                return;
             }
-            s.status[t as usize] = ThreadState::Ready;
             t
         } else if promoted {
             // Rotate the probe across every blocked thread: one thread's
@@ -301,112 +206,79 @@ impl Controller {
             // deadlock is sound only after each thread re-checked
             // fruitlessly. Sticking with `prev` here would probe one
             // thread forever and report phantom deadlocks.
-            candidates[(s.blocked_streak - 1) as usize % candidates.len()]
-        } else if let Some(p) = s.prev.filter(|p| candidates.contains(p)) {
+            candidates[(blocked_rounds - 1) as usize % candidates.len()]
+        } else if let Some(p) = prev.filter(|p| candidates.contains(p)) {
             p
         } else {
             candidates[0]
         };
-        s.status[chosen as usize] = ThreadState::Ready;
-        if let Some(p) = s.prev {
-            if chosen != p && s.status[p as usize] == ThreadState::Ready {
-                s.preemptions += 1;
+        if let Some(p) = prev {
+            if chosen != p && status[p as usize] == ThreadState::Ready {
+                self.preemptions += 1;
             }
         }
-        if s.log.len() as u64 >= self.max_steps {
-            s.abort = Some(SchedAbort::StepBound(format!(
+        if self.log.len() as u64 >= self.max_steps {
+            return self.abort(SchedAbort::StepBound(format!(
                 "starvation/livelock: schedule exceeded the {}-step bound",
                 self.max_steps
             )));
-            self.cv.notify_all();
-            return;
         }
         // Re-enabled blocked threads carry no real branch: record the grant
         // as forced so the explorer does not branch over spin polls.
         let candidates = if promoted { vec![chosen] } else { candidates };
-        s.log.push(Decision {
+        self.log.push(Decision {
             chosen,
             candidates,
             promoted,
             fp: Footprint::new(),
             end_point: None,
         });
-        s.open[chosen as usize] = Some(s.log.len() - 1);
-        s.current = Some(chosen);
-        self.cv.notify_all();
-    }
-
-    fn wait_for_grant(&self, mut s: std::sync::MutexGuard<'_, SchedState>, tid: u32) {
-        loop {
-            if let Some(a) = &s.abort {
-                let msg = format!("{ABORT_PANIC_PREFIX}: {}", a.message());
-                drop(s);
-                // Unwind through the engine; the executor's worker-panic
-                // recovery rolls the transaction back and the explorer reads
-                // the structured verdict from the controller.
-                std::panic::panic_any(msg);
-            }
-            if s.current == Some(tid) {
-                return;
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-}
-
-/// Per-thread coop hook handle (see [`Controller::hooks`]).
-pub struct ControllerHooks {
-    ctrl: Arc<Controller>,
-    tid: u32,
-}
-
-impl CoopHooks for ControllerHooks {
-    fn pause(&self, point: CoopPoint) {
-        self.ctrl.pause(self.tid, point);
-    }
-    fn access(&self, line: u64, write: bool) {
-        self.ctrl.access(self.tid, line, write);
-    }
-}
-
-/// Marks a thread done on drop (see [`Controller::finish_guard`]).
-pub struct FinishGuard {
-    ctrl: Arc<Controller>,
-    tid: u32,
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        self.ctrl.finish(self.tid);
+        self.open[chosen as usize] = Some(self.log.len() - 1);
+        Ok(chosen)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn run_threads(ctrl: &Arc<Controller>, bodies: Vec<Box<dyn FnOnce() + Send>>) {
+    fn controller(nthreads: u32, forced: Vec<u32>, max_steps: u64) -> Arc<Controller> {
+        Controller::with_policy(nthreads, Explorer::new(nthreads, forced, max_steps, None))
+    }
+
+    /// Runs one scoped worker per body under `ctrl`; returns the abort
+    /// message each worker's body unwound with, if any.
+    fn run_threads(
+        ctrl: &Arc<Controller>,
+        bodies: Vec<Box<dyn FnOnce() + Send>>,
+    ) -> Vec<Option<String>> {
         std::thread::scope(|scope| {
-            for (tid, body) in bodies.into_iter().enumerate() {
-                let ctrl = Arc::clone(ctrl);
-                scope.spawn(move || {
-                    let tid = tid as u32;
-                    let hooks = ctrl.hooks(tid);
-                    let _g = htm_core::coop::install(hooks);
-                    let _f = ctrl.finish_guard(tid);
-                    ctrl.register(tid);
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-                    // Swallow the abort panic: the test asserts on the
-                    // structured verdict instead.
-                    drop(r);
-                });
-            }
-        });
+            let handles: Vec<_> = bodies
+                .into_iter()
+                .enumerate()
+                .map(|(tid, body)| {
+                    let ctrl = Arc::clone(ctrl);
+                    scope.spawn(move || {
+                        let tid = tid as u32;
+                        let hooks = ctrl.hooks(tid);
+                        let _g = htm_core::coop::install(hooks);
+                        let _f = ctrl.finish_guard(tid);
+                        ctrl.register(tid);
+                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+                        // Swallow the abort panic: the tests assert on the
+                        // structured verdict instead.
+                        r.err().and_then(|p| p.downcast::<String>().ok()).map(|m| *m)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker exits")).collect()
+        })
     }
 
     #[test]
     fn serializes_two_threads_and_logs_footprints() {
-        let ctrl = Controller::new(2, Vec::new(), 1000);
+        let ctrl = controller(2, Vec::new(), 1000);
         let mk = |_tid: u32| {
             Box::new(move || {
                 htm_core::coop::access(7, false);
@@ -416,7 +288,7 @@ mod tests {
             }) as Box<dyn FnOnce() + Send>
         };
         run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (log, abort) = ctrl.take_result();
+        let (log, abort) = ctrl.policy(Explorer::take_result);
         assert!(abort.is_none(), "clean run: {abort:?}");
         // Each thread: preamble-to-BlockStart, BlockStart-to-PreCommit,
         // PreCommit-to-done = 3 steps.
@@ -431,7 +303,7 @@ mod tests {
 
     #[test]
     fn forced_prefix_steers_the_interleaving() {
-        let ctrl = Controller::new(2, vec![0, 1, 0, 1, 0, 1], 1000);
+        let ctrl = controller(2, vec![0, 1, 0, 1, 0, 1], 1000);
         let mk = |_tid: u32| {
             Box::new(move || {
                 htm_core::coop::point(CoopPoint::BlockStart);
@@ -439,32 +311,49 @@ mod tests {
             }) as Box<dyn FnOnce() + Send>
         };
         run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (log, abort) = ctrl.take_result();
+        let (log, abort) = ctrl.policy(Explorer::take_result);
         assert!(abort.is_none(), "clean run: {abort:?}");
         assert_eq!(log.iter().map(|d| d.chosen).collect::<Vec<_>>(), vec![0, 1, 0, 1, 0, 1]);
     }
 
     #[test]
     fn all_blocked_threads_is_reported_as_deadlock() {
-        let ctrl = Controller::new(2, Vec::new(), 10_000);
+        let ctrl = controller(2, Vec::new(), 10_000);
         let mk = |_tid: u32| {
             Box::new(move || loop {
                 htm_core::coop::point(CoopPoint::Blocked);
             }) as Box<dyn FnOnce() + Send>
         };
         run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (_, abort) = ctrl.take_result();
+        let (_, abort) = ctrl.policy(Explorer::take_result);
+        assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "got {abort:?}");
+    }
+
+    #[test]
+    fn deadlock_unwinds_every_parked_thread() {
+        let ctrl = controller(3, Vec::new(), 10_000);
+        let mk = |_tid: u32| {
+            Box::new(move || loop {
+                htm_core::coop::point(CoopPoint::Blocked);
+            }) as Box<dyn FnOnce() + Send>
+        };
+        let ends = run_threads(&ctrl, (0..3).map(mk).collect());
+        for (tid, msg) in ends.iter().enumerate() {
+            let msg = msg.as_deref().unwrap_or_else(|| panic!("thread {tid} did not unwind"));
+            assert!(msg.starts_with(ABORT_PANIC_PREFIX), "thread {tid}: {msg}");
+        }
+        let (_, abort) = ctrl.policy(Explorer::take_result);
         assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "got {abort:?}");
     }
 
     #[test]
     fn runaway_schedule_hits_the_step_bound() {
-        let ctrl = Controller::new(1, Vec::new(), 64);
+        let ctrl = controller(1, Vec::new(), 64);
         let body = Box::new(move || loop {
             htm_core::coop::point(CoopPoint::BlockStart);
         }) as Box<dyn FnOnce() + Send>;
         run_threads(&ctrl, vec![body]);
-        let (_, abort) = ctrl.take_result();
+        let (_, abort) = ctrl.policy(Explorer::take_result);
         assert!(matches!(abort, Some(SchedAbort::StepBound(_))), "got {abort:?}");
     }
 

@@ -38,15 +38,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record per-transaction footprints in run statistics (costs memory).
     pub trace_footprints: bool,
-    /// Yield the OS thread every this many *simulated cycles* (0 = never).
-    /// Hardware threads progress simultaneously; on hosts with fewer cores
-    /// than workers, OS threads only interleave at preemption quanta — far
-    /// coarser than a transaction — so without forced yields transactions
-    /// would almost never overlap and conflict statistics would collapse.
-    /// Pacing by simulated cycles makes each worker's real-time presence
-    /// proportional to its simulated duration, so conflict exposure tracks
-    /// the cost model.
-    pub yield_interval: u32,
     /// Deterministic fault-injection plan (empty by default: injects
     /// nothing, costs nothing, leaves runs bit-identical).
     pub faults: FaultPlan,
@@ -86,7 +77,6 @@ impl SimConfig {
             conflict_policy: ConflictPolicy::RequesterWins,
             seed: 0x5EED_0001,
             trace_footprints: false,
-            yield_interval: 160,
             faults: FaultPlan::none(),
             watchdog: WatchdogConfig::default(),
             fallback: FallbackPolicy::Lock,
@@ -117,12 +107,6 @@ impl SimConfig {
     /// Enables footprint tracing in worker statistics.
     pub fn trace_footprints(mut self, on: bool) -> SimConfig {
         self.trace_footprints = on;
-        self
-    }
-
-    /// Sets the forced-yield interval (see [`SimConfig::yield_interval`]).
-    pub fn yield_interval(mut self, every_accesses: u32) -> SimConfig {
-        self.yield_interval = every_accesses;
         self
     }
 
@@ -299,7 +283,7 @@ impl Sim {
             self.cfg.conflict_policy,
             self.cfg.seed,
             self.cfg.trace_footprints,
-            if mode == ExecMode::Hardware && num_threads > 1 { self.cfg.yield_interval } else { 0 },
+            mode == ExecMode::Hardware && num_threads > 1,
             faults,
         );
         ThreadCtx::new(

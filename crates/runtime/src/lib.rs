@@ -30,6 +30,10 @@
 //! * [`replay`] — deterministic record/replay: `Sim::record_parallel`
 //!   captures a [`ScheduleTrace`] of every scheduling decision and
 //!   `Sim::replay` re-executes it bit-identically,
+//! * [`sched`] — the cooperative scheduler: one worker runs at a time
+//!   through the `htm_core::coop` hooks, and a [`Policy`](sched::Policy)
+//!   picks each grant ([`RoundRobin`](sched::RoundRobin) for the svc
+//!   workload, the model checker's explorer in `htm-model`),
 //! * [`sanitize`] — the happens-before race sanitizer
 //!   (`SimConfig::sanitize`): per-thread vector-clocked access capture,
 //!   checked post-run by [`htm_core::detect_races`] into a
@@ -67,6 +71,7 @@ pub mod faults;
 pub mod lock;
 pub mod replay;
 pub mod sanitize;
+pub mod sched;
 pub mod stats;
 pub mod trace;
 pub mod tx;

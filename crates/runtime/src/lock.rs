@@ -99,8 +99,8 @@ impl GlobalLock {
             clock.tick(cost.spin_poll);
             waited += cost.spin_poll;
             polls += 1;
-            // Under the model checker the holder is parked until granted a
-            // step; park this thread instead of spinning against it.
+            // Under a cooperative scheduler the holder is parked until granted
+            // a step; park this thread instead of spinning against it.
             htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
             std::hint::spin_loop();
             if polls.is_multiple_of(512) {

@@ -98,9 +98,9 @@ pub struct TxnEngine {
     /// Fault-injection state; `None` under the empty plan (the default), in
     /// which case no injection code beyond this `Option` check runs.
     faults: Option<FaultState>,
-    /// Forced-yield cadence in simulated cycles (see
-    /// `SimConfig::yield_interval`); 0 = never.
-    yield_interval: u32,
+    /// Yield the OS thread every ~[`TxnEngine::YIELD_INTERVAL`] simulated
+    /// cycles.
+    pace: bool,
     next_yield_at: std::cell::Cell<u64>,
     yield_rng: std::cell::Cell<u64>,
     /// Per-thread execution slowdown from SMT co-residency (lazily sampled
@@ -186,7 +186,7 @@ impl TxnEngine {
         policy: ConflictPolicy,
         seed: u64,
         trace_footprints: bool,
-        yield_interval: u32,
+        pace: bool,
         faults: Option<FaultState>,
     ) -> TxnEngine {
         assert!((thread_id as usize) < htm_core::MAX_SLOTS, "too many worker threads");
@@ -220,7 +220,7 @@ impl TxnEngine {
             holds_spec_id: false,
             pending_frees: Vec::new(),
             faults,
-            yield_interval,
+            pace,
             next_yield_at: std::cell::Cell::new(0),
             yield_rng: std::cell::Cell::new(seed | 1),
             smt_slowdown: std::cell::Cell::new(None),
@@ -1113,13 +1113,6 @@ impl TxnEngine {
         self.faults.as_ref().map_or(0, |f| f.lock_release_delay())
     }
 
-    /// Forced interleaving: on hosts with fewer cores than workers, OS
-    /// threads only alternate at preemption quanta, so without this no two
-    /// transactions would ever be in flight together. Pacing is by
-    /// *simulated* cycles, so a worker's real-time presence (and hence its
-    /// conflict exposure) is proportional to its simulated duration — a
-    /// transaction that costs 10× the cycles stays in flight 10× as long
-    /// (see `SimConfig::yield_interval`).
     /// Charges `cycles` of execution time, scaled by the SMT co-residency
     /// slowdown: `n` threads sharing a core deliver `1 + (n-1)*eff` times
     /// one thread's throughput, so each runs `n / (1 + (n-1)*eff)` slower.
@@ -1145,9 +1138,20 @@ impl TxnEngine {
         self.clock.tick(whole);
     }
 
+    /// Mean simulated cycles between forced yields (see
+    /// [`TxnEngine::maybe_yield`]).
+    const YIELD_INTERVAL: u64 = 160;
+
+    /// Forced interleaving: on hosts with fewer cores than workers, OS
+    /// threads only alternate at preemption quanta, so without this no two
+    /// transactions would ever be in flight together. Pacing is by
+    /// *simulated* cycles, so a worker's real-time presence (and hence its
+    /// conflict exposure) is proportional to its simulated duration — a
+    /// transaction that costs 10× the cycles stays in flight 10× as long.
+    /// Only hardware-mode runs of more than one thread pace.
     #[inline]
     pub(crate) fn maybe_yield(&self) {
-        if self.yield_interval > 0 {
+        if self.pace {
             let now = self.clock.now();
             // Quantum boundaries form a renewal process anchored to
             // *cumulative* simulated cycles: a large single charge consumes
@@ -1163,7 +1167,7 @@ impl TxnEngine {
                 x ^= x >> 7;
                 x ^= x << 17;
                 self.yield_rng.set(x);
-                let iv = self.yield_interval as u64;
+                let iv = Self::YIELD_INTERVAL;
                 // Randomized quantum in [iv/2, 3iv/2): fixed quanta
                 // phase-lock with fixed-cost transaction sequences.
                 let quantum = iv / 2 + x % iv;
@@ -1780,7 +1784,7 @@ mod tests {
             ConflictPolicy::RequesterWins,
             42,
             false,
-            0,
+            false,
             None,
         )
     }
@@ -1885,7 +1889,7 @@ mod tests {
             ConflictPolicy::RequesterWins,
             1,
             false,
-            0,
+            false,
             None,
         );
         let mut e1 = TxnEngine::new(
@@ -1898,7 +1902,7 @@ mod tests {
             ConflictPolicy::RequesterWins,
             2,
             false,
-            0,
+            false,
             None,
         );
         let a = WordAddr(100);
@@ -1968,7 +1972,7 @@ mod tests {
                 ConflictPolicy::RequesterWins,
                 7,
                 false,
-                0,
+                false,
                 None,
             )
         };
@@ -2093,7 +2097,7 @@ mod tests {
             ConflictPolicy::RequesterWins,
             42,
             false,
-            0,
+            false,
             faults,
         )
     }

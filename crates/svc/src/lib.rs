@@ -13,9 +13,9 @@
 //!   key's node on its own conflict-detection line (so abort blame names
 //!   *keys*), plus bounded per-shard request rings handed off with
 //!   non-transactional fetch-adds,
-//! * [`sched`] — the deterministic round-robin cooperative scheduler:
-//!   bit-identical interleavings (and therefore bit-identical TSVs) with
-//!   genuine cross-thread conflicts,
+//! * [`sched`] — the deterministic round-robin cooperative scheduler
+//!   (`htm_runtime::sched::RoundRobin`): bit-identical interleavings (and
+//!   therefore bit-identical TSVs) with genuine cross-thread conflicts,
 //! * [`workload`] — [`SvcWorkload`], a `stamp::Workload`: shard workers
 //!   drain queues through atomic blocks under any fallback tier while a
 //!   background compaction thread contends with them; per-request

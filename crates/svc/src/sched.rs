@@ -1,332 +1,4 @@
-//! Deterministic round-robin cooperative scheduler.
-//!
-//! Service cells must be bit-identical across runs (they cache and shard
-//! over the fabric by content key), yet still exhibit *real* contention:
-//! a worker parked at a pre-commit point holds an active footprint, so
-//! other workers' atomic blocks genuinely conflict with it. The scheduler
-//! delivers both: every worker installs a [`RoundRobinHooks`] handle as its
-//! `htm_core::coop` hook set, and exactly one thread runs at a time, with
-//! the grant rotating to the next runnable thread at every scheduling
-//! point. Unlike the model checker's run-to-completion default
-//! (`htm-model`'s `Controller`), rotation interleaves the workers fairly —
-//! the interleaving the statistics are measured over is the same on every
-//! run, without serializing any one thread's whole execution first.
-//!
-//! Simulated time is unaffected: one-at-a-time *host* execution does not
-//! move the simulated clocks, so throughput and latency percentiles mean
-//! what they would under free-running threads.
-//!
-//! Threads pausing at [`CoopPoint::Blocked`] observed a condition only
-//! another thread can change (a held lock, a committing slot); they are
-//! skipped while any other thread is runnable and probed in rotation
-//! otherwise. Probing is how conflict chains unwind: the engine's claim
-//! protocol dooms the current line owner and spins until the owner *runs*
-//! its rollback, and a probed thread may roll back, release its lines, and
-//! move directly into another blocked wait (the fallback lock, its next
-//! claim) without ever pausing runnable. Progress is therefore detected
-//! from the engine's line-`access` callbacks — a probed thread that gets
-//! anywhere issues one; a genuinely deadlocked set never does — and the
-//! scheduler panics only after a full bound of probe rounds with no access
-//! from anyone. On that panic the scheduler poisons itself and releases
-//! every sibling to free-run, so the run fails with the diagnostic instead
-//! of hanging the remaining workers on a grant that will never come.
+//! The deterministic round-robin scheduler svc workers run under (see
+//! [`htm_runtime::sched`]).
 
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-use htm_core::coop::{CoopHooks, CoopPoint};
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThreadState {
-    Ready,
-    Blocked,
-    Done,
-}
-
-struct SchedState {
-    status: Vec<ThreadState>,
-    registered: u32,
-    /// Thread currently granted the right to run (`None` once all done).
-    current: Option<u32>,
-    /// Previously granted thread: rotation starts after it.
-    prev: u32,
-    /// Blocked-probe rounds since the last observed progress (a runnable
-    /// thread, or any line access).
-    stalled_rounds: u32,
-    /// `RoundRobin::accesses` value at the last stall reset.
-    progress_seen: u64,
-    /// Set when deadlock was declared: every wait returns immediately and
-    /// the threads free-run (the engine's own spin limits take over).
-    poisoned: bool,
-}
-
-/// Shared round-robin scheduler for one service run.
-pub struct RoundRobin {
-    nthreads: u32,
-    inner: Mutex<SchedState>,
-    cv: Condvar,
-    /// Counts engine line accesses (the liveness signal; see module docs).
-    accesses: AtomicU64,
-}
-
-impl RoundRobin {
-    /// Creates a scheduler for `nthreads` workers.
-    pub fn new(nthreads: u32) -> Arc<RoundRobin> {
-        Arc::new(RoundRobin {
-            nthreads,
-            inner: Mutex::new(SchedState {
-                status: vec![ThreadState::Ready; nthreads as usize],
-                registered: 0,
-                current: None,
-                prev: nthreads.saturating_sub(1),
-                stalled_rounds: 0,
-                progress_seen: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-            accesses: AtomicU64::new(0),
-        })
-    }
-
-    /// Per-thread hook handle for [`htm_core::coop::install`].
-    pub fn hooks(self: &Arc<RoundRobin>, tid: u32) -> Rc<RoundRobinHooks> {
-        Rc::new(RoundRobinHooks { sched: Arc::clone(self), tid })
-    }
-
-    /// RAII completion guard: marks the thread done on drop (normal exit
-    /// *and* unwind), so a panicking worker cannot strand its siblings.
-    pub fn finish_guard(self: &Arc<RoundRobin>, tid: u32) -> FinishGuard {
-        FinishGuard { sched: Arc::clone(self), tid }
-    }
-
-    /// Registers thread `tid` and parks until the first grant. Every
-    /// worker must call this exactly once, before touching shared state.
-    pub fn register(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        s.registered += 1;
-        if s.registered == self.nthreads {
-            self.grant_next(&mut s);
-        }
-        self.wait_for_grant(s, tid);
-    }
-
-    fn pause(&self, tid: u32, point: CoopPoint) {
-        let mut s = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if s.poisoned {
-            return;
-        }
-        s.status[tid as usize] = if point == CoopPoint::Blocked {
-            ThreadState::Blocked
-        } else {
-            s.stalled_rounds = 0;
-            ThreadState::Ready
-        };
-        if s.current == Some(tid) {
-            s.prev = tid;
-            s.current = None;
-            self.grant_next(&mut s);
-        }
-        self.wait_for_grant(s, tid);
-    }
-
-    fn finish(&self, tid: u32) {
-        let mut s = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if s.poisoned {
-            return;
-        }
-        s.status[tid as usize] = ThreadState::Done;
-        s.stalled_rounds = 0;
-        if s.current == Some(tid) || s.current.is_none() {
-            s.prev = tid;
-            s.current = None;
-            self.grant_next(&mut s);
-        }
-    }
-
-    /// Picks and grants the next step: the first non-Done thread after
-    /// `prev` in cyclic order, *including* Blocked ones. Granting a blocked
-    /// thread is the probe that lets it notice a doom or a released line;
-    /// skipping blocked threads whenever somebody is Ready starves them —
-    /// one thread that never blocks (the compaction loop) would then hold
-    /// the schedule forever while doomed workers wait to be probed.
-    /// Caller holds the state lock.
-    fn grant_next(&self, s: &mut SchedState) {
-        let rotation = (1..=self.nthreads).map(|d| (s.prev + d) % self.nthreads);
-        let mut chosen = None;
-        let mut any_ready = false;
-        for t in rotation {
-            match s.status[t as usize] {
-                ThreadState::Done => {}
-                ThreadState::Ready => {
-                    any_ready = true;
-                    chosen.get_or_insert(t);
-                }
-                ThreadState::Blocked => {
-                    chosen.get_or_insert(t);
-                }
-            }
-        }
-        let Some(chosen) = chosen else {
-            // All threads done.
-            self.cv.notify_all();
-            return;
-        };
-        if any_ready {
-            s.stalled_rounds = 0;
-        } else {
-            // Everybody is blocked. A probed thread that unwinds a conflict
-            // (rollback, retry, lock hand-off) issues at least one engine
-            // line access before it can block again; only a probe round
-            // where *nobody* has accessed anything counts toward deadlock.
-            let seen = self.accesses.load(Ordering::Relaxed);
-            if seen != s.progress_seen {
-                s.progress_seen = seen;
-                s.stalled_rounds = 0;
-            }
-            s.stalled_rounds += 1;
-            if s.stalled_rounds > 64 * self.nthreads + 256 {
-                // Declare deadlock: poison the scheduler so every sibling
-                // wait returns and the workers free-run (failing the run
-                // with this diagnostic instead of hanging on a dead grant).
-                s.poisoned = true;
-                self.cv.notify_all();
-                panic!(
-                    "svc scheduler deadlock: all live threads stayed blocked through {} \
-                     probe rounds with no line access from any thread",
-                    s.stalled_rounds
-                );
-            }
-        }
-        s.status[chosen as usize] = ThreadState::Ready;
-        s.current = Some(chosen);
-        self.cv.notify_all();
-    }
-
-    fn wait_for_grant(&self, mut s: std::sync::MutexGuard<'_, SchedState>, tid: u32) {
-        loop {
-            if s.poisoned || s.current == Some(tid) {
-                return;
-            }
-            if s.current.is_none() && s.status.iter().all(|&t| t == ThreadState::Done) {
-                return;
-            }
-            s = self.cv.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-/// Per-thread coop hook handle (see [`RoundRobin::hooks`]).
-pub struct RoundRobinHooks {
-    sched: Arc<RoundRobin>,
-    tid: u32,
-}
-
-impl CoopHooks for RoundRobinHooks {
-    fn pause(&self, point: CoopPoint) {
-        self.sched.pause(self.tid, point);
-    }
-    fn access(&self, _line: u64, _write: bool) {
-        // Liveness signal only (see module docs): the granted thread got
-        // far enough to touch a line, so the blocked set is not deadlocked.
-        self.sched.accesses.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Marks a thread done on drop (see [`RoundRobin::finish_guard`]).
-pub struct FinishGuard {
-    sched: Arc<RoundRobin>,
-    tid: u32,
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        self.sched.finish(self.tid);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn run_threads(sched: &Arc<RoundRobin>, bodies: Vec<Box<dyn FnOnce() + Send>>) {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = bodies
-                .into_iter()
-                .enumerate()
-                .map(|(tid, body)| {
-                    let sched = Arc::clone(sched);
-                    scope.spawn(move || {
-                        let tid = tid as u32;
-                        let hooks = sched.hooks(tid);
-                        let _g = htm_core::coop::install(hooks);
-                        let _f = sched.finish_guard(tid);
-                        sched.register(tid);
-                        body();
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Re-raise a worker's panic payload (the deadlock test
-                // asserts on its message).
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn rotates_grants_between_threads() {
-        let sched = RoundRobin::new(3);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mk = |tid: u32, order: Arc<Mutex<Vec<u32>>>| {
-            Box::new(move || {
-                for _ in 0..3 {
-                    order.lock().unwrap().push(tid);
-                    htm_core::coop::point(CoopPoint::BlockStart);
-                }
-            }) as Box<dyn FnOnce() + Send>
-        };
-        run_threads(&sched, (0..3).map(|t| mk(t, Arc::clone(&order))).collect());
-        let order = order.lock().unwrap().clone();
-        // Round-robin interleaves instead of running one thread to
-        // completion: thread 0 runs first (prev starts at n-1), and each
-        // slice rotates.
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn blocked_threads_are_probed_not_starved() {
-        let sched = RoundRobin::new(2);
-        let flag = Arc::new(Mutex::new(false));
-        let f0 = Arc::clone(&flag);
-        let t0 = Box::new(move || {
-            // Spin until thread 1 sets the flag; pause Blocked per poll.
-            loop {
-                if *f0.lock().unwrap() {
-                    break;
-                }
-                htm_core::coop::point(CoopPoint::Blocked);
-            }
-        }) as Box<dyn FnOnce() + Send>;
-        let f1 = Arc::clone(&flag);
-        let t1 = Box::new(move || {
-            htm_core::coop::point(CoopPoint::BlockStart);
-            *f1.lock().unwrap() = true;
-        }) as Box<dyn FnOnce() + Send>;
-        run_threads(&sched, vec![t0, t1]);
-        assert!(*flag.lock().unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "svc scheduler deadlock")]
-    fn all_blocked_forever_is_a_deadlock() {
-        let sched = RoundRobin::new(1);
-        let body = Box::new(|| loop {
-            htm_core::coop::point(CoopPoint::Blocked);
-        }) as Box<dyn FnOnce() + Send>;
-        // The panic unwinds out of the single worker through the scope.
-        run_threads(&sched, vec![body]);
-    }
-}
+pub use htm_runtime::sched::RoundRobin;
