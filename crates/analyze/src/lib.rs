@@ -20,21 +20,16 @@
 //!   `excessive-retry` rules over one benchmark cell and gates CI on a
 //!   configurable rule subset,
 //! * [`json`] — a dependency-free JSON value type (writer + parser) for
-//!   machine-readable lint reports,
-//! * [`adapt`] — the adaptive-controller feedback export: per-thread tier
-//!   switches, backoff, spills and rescues as a JSON report for offline
-//!   tuning of the `--fallback adaptive` ladder.
+//!   machine-readable lint reports.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adapt;
 pub mod blame;
 pub mod capacity;
 pub mod json;
 pub mod lint;
 
-pub use adapt::{AdaptFeedback, ThreadFeedback};
 pub use blame::{detect_false_sharing, hot_keys, ConflictMatrix, FalseSharing, HotKey};
 pub use capacity::{predict_capacity, CapacityCell};
 pub use json::Json;

@@ -2,7 +2,8 @@
 //!
 //! Each finished cell is stored under `target/results/cache/` in a file
 //! named by the FNV-64 hash of its content key ([`crate::CellKind::key`]
-//! prefixed with [`CACHE_VERSION`]). The full key is stored alongside the
+//! prefixed with [`CACHE_VERSION`] and a hash of the run-counter schema,
+//! [`ThreadStats::COUNTERS`]). The full key is stored alongside the
 //! result and verified on load, so a hash collision degrades to a miss,
 //! never a wrong answer. Because the key encodes *all* cell inputs:
 //!
@@ -24,19 +25,36 @@
 //! concurrent coordinators (or a coordinator racing its own workers) can
 //! never interleave partial writes into the final path.
 //!
-//! Bump [`CACHE_VERSION`] whenever a simulator change alters results
-//! without changing any cell parameter, or when the entry format changes.
+//! Adding, removing or renaming a run counter changes the schema hash and
+//! so invalidates every entry by itself. Bump [`CACHE_VERSION`] only when
+//! the entry format changes, or when a simulator change alters results
+//! without changing any cell parameter.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use htm_analyze::Json;
+use htm_runtime::ThreadStats;
 
 use crate::cell::CellResult;
 
-/// Version prefix folded into every cache key; bump on simulator changes
-/// that alter results (v5: service-workload cells, latency histograms in
-/// run stats, sink percentile columns).
+/// Version prefix folded into every cache key, ahead of the counter-schema
+/// hash. Bump it when the entry format changes or when a simulator change
+/// alters results without changing any cell parameter; a counter added,
+/// removed or renamed needs no bump (v5: service-workload cells, latency
+/// histograms in run stats, sink percentile columns).
 pub const CACHE_VERSION: &str = "v5";
+
+/// The key text an entry for `key` is stored and looked up under:
+/// `CACHE_VERSION`, the FNV-64 hash of [`ThreadStats::COUNTERS`], then
+/// `key`. The prefix is computed once per process.
+fn versioned(key: &str) -> String {
+    static PREFIX: OnceLock<String> = OnceLock::new();
+    let prefix = PREFIX.get_or_init(|| {
+        format!("{CACHE_VERSION}.{:016x}", fnv64(&ThreadStats::COUNTERS.join(",")))
+    });
+    format!("{prefix}|{key}")
+}
 
 /// 64-bit FNV-1a (dependency-free, stable across platforms and runs).
 pub fn fnv64(s: &str) -> u64 {
@@ -83,7 +101,7 @@ impl ResultCache {
     /// The file an entry for `key` lives at (exposed for the chaos
     /// harness, which corrupts entries deliberately).
     pub fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", fnv64(&format!("{CACHE_VERSION}|{key}"))))
+        self.dir.join(format!("{:016x}.json", fnv64(&versioned(key))))
     }
 
     /// Loads the result cached under `key`. Backwards-compatible wrapper
@@ -128,7 +146,7 @@ impl ResultCache {
         // Past this point the entry is *intact*; a different key is a hash
         // collision, which is a plain miss, never corruption.
         let stored_key = body.get("key").and_then(Json::as_str);
-        if stored_key != Some(format!("{CACHE_VERSION}|{key}").as_str()) {
+        if stored_key != Some(versioned(key).as_str()) {
             return Load::Miss;
         }
         match body.get("result").map(CellResult::from_json) {
@@ -156,7 +174,7 @@ impl ResultCache {
         }
         std::fs::create_dir_all(&self.dir)?;
         let body = Json::Obj(vec![
-            ("key".into(), Json::str(format!("{CACHE_VERSION}|{key}"))),
+            ("key".into(), Json::str(versioned(key))),
             ("id".into(), Json::str(id)),
             ("result".into(), result.to_json()),
         ]);
@@ -263,26 +281,29 @@ mod tests {
     #[test]
     fn old_version_entry_is_a_miss_not_a_hit() {
         let cache = temp_cache("oldversion");
-        // Hand-craft a previous-version entry at the exact path the
+        // Hand-craft previous-version entries at the exact path the
         // current version hashes "k" to: intact checksum envelope, stale
-        // version prefix in the key text. A version bump must invalidate
-        // it (miss + recompute), and an intact stale entry is not
+        // key text. `v4|k` predates a version bump; `v5|k` is this
+        // version's key before the counter schema joined the prefix. Both
+        // must miss (and recompute), and an intact stale entry is not
         // corruption, so it must not be quarantined either.
-        let body = Json::Obj(vec![
-            ("key".into(), Json::str("v4|k")),
-            ("id".into(), Json::str("id")),
-            ("result".into(), sample().to_json()),
-        ]);
-        let body_text = body.to_string();
-        let envelope = Json::Obj(vec![
-            ("sum".into(), Json::str(format!("{:016x}", fnv64(&body_text)))),
-            ("body".into(), body),
-        ]);
         std::fs::create_dir_all(cache.dir()).unwrap();
         let path = cache.path_for("k");
-        std::fs::write(&path, envelope.to_string()).unwrap();
-        assert_eq!(cache.load_checked("k"), Load::Miss);
-        assert!(path.exists(), "stale-but-intact entries are not quarantined");
+        for stale in ["v4|k", "v5|k"] {
+            let body = Json::Obj(vec![
+                ("key".into(), Json::str(stale)),
+                ("id".into(), Json::str("id")),
+                ("result".into(), sample().to_json()),
+            ]);
+            let body_text = body.to_string();
+            let envelope = Json::Obj(vec![
+                ("sum".into(), Json::str(format!("{:016x}", fnv64(&body_text)))),
+                ("body".into(), body),
+            ]);
+            std::fs::write(&path, envelope.to_string()).unwrap();
+            assert_eq!(cache.load_checked("k"), Load::Miss, "{stale}");
+            assert!(path.exists(), "stale-but-intact entries are not quarantined");
+        }
         // A fresh store overwrites it and hits under the current version.
         cache.store("k", "id", &sample()).unwrap();
         assert_eq!(cache.load("k"), Some(sample()));

@@ -690,20 +690,10 @@ fn stamp_result(cell: &Cell, merged: &RunStats) -> CellResult {
         out.put(&format!("share_{cat}"), cell.abort_shares[i]);
     }
     out.put("serialization", cell.serialization);
-    out.put("hw_commits", merged.hw_commits() as f64);
-    out.put("irrevocable_commits", merged.irrevocable_commits() as f64);
     out.put("total_aborts", merged.total_aborts() as f64);
-    out.put("injected_faults", merged.injected_faults() as f64);
-    out.put("watchdog_trips", merged.watchdog_trips() as f64);
-    out.put("stm_commits", merged.stm_commits() as f64);
-    out.put("stm_validation_aborts", merged.stm_validation_aborts() as f64);
-    out.put("rot_commits", merged.rot_commits() as f64);
-    out.put("fallback_lock_waits", merged.fallback_lock_waits() as f64);
-    out.put("spill_commits", merged.spill_commits() as f64);
-    out.put("capacity_spills", merged.capacity_spills() as f64);
-    out.put("tier_switches", merged.tier_switches() as f64);
-    out.put("backoff_cycles", merged.backoff_cycles() as f64);
-    out.put("adapt_starvation_rescues", merged.adapt_starvation_rescues() as f64);
+    for (name, total) in merged.counters() {
+        out.put(name, total as f64);
+    }
     out
 }
 
@@ -920,6 +910,7 @@ impl CellResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_runtime::ThreadStats;
 
     #[test]
     fn result_json_round_trips_exactly() {
@@ -931,6 +922,27 @@ mod tests {
         let text = r.to_json().to_string();
         let back = CellResult::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn stamp_results_carry_every_run_counter_once() {
+        let mut c = StampCell::tuned(
+            Platform::IntelCore,
+            BenchId::KmeansHigh,
+            Variant::Modified,
+            2,
+            Scale::Tiny,
+            7,
+        );
+        c.fallback = FallbackPolicy::Stm;
+        let (cell, merged) = c.run();
+        let out = stamp_result(&cell, &merged);
+        let names: Vec<&str> = merged.counters().map(|(name, _)| name).collect();
+        assert_eq!(names, ThreadStats::COUNTERS);
+        for (name, total) in merged.counters() {
+            assert_eq!(out.metrics.iter().filter(|(n, _)| n == name).count(), 1, "{name}");
+            assert_eq!(out.get(name), total as f64, "{name}");
+        }
     }
 
     #[test]

@@ -518,13 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn failing_cell_panics_with_its_id() {
-        // threads == 0 with no sequential meaning for Queue: use a Tls
-        // sequential cell mislabeled? Simpler: a Stamp cell with 0 reps is
-        // fine, so provoke failure via catch_unwind on a panicking kind is
-        // not constructible from safe inputs here — assert the error path
-        // via a poisoned cache directory instead (store failure warns but
-        // does not panic).
+    fn cache_store_failure_warns_but_returns_results() {
+        // A cache directory that is a file: the store fails, the engine
+        // warns once, and the computed result is still returned.
         let cells = queue_cells(1);
         let file = std::env::temp_dir().join(format!("htm-exp-notdir-{}", std::process::id()));
         std::fs::write(&file, "x").unwrap();
@@ -533,5 +529,31 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(report.computed, 1);
         let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn panicking_cell_fails_the_run_with_its_id_after_healthy_cells_are_cached() {
+        let dir = std::env::temp_dir().join(format!("htm-exp-engine-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunOpts { jobs: 1, cache_dir: dir.clone(), quiet: true, ..RunOpts::default() };
+        let queues = queue_cells(2);
+        // An unknown suite kernel panics inside the model cell.
+        let bogus = CellSpec::new(
+            "bogus-model",
+            CellKind::Model {
+                kernel: "no-such-kernel",
+                platform: htm_machine::Platform::IntelCore,
+                tier: htm_model::Tier::Lock,
+            },
+        );
+        let cells = [queues[0].clone(), bogus, queues[1].clone()];
+        let panic = catch_unwind(AssertUnwindSafe(|| compute_cells("t", &cells, &opts)))
+            .expect_err("a panicking cell fails the run");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("1 cell(s) failed") && msg.contains("bogus-model"), "{msg}");
+        // Both healthy cells were stored before the run failed.
+        let (_, rerun) = compute_cells("t", &queues, &opts);
+        assert_eq!((rerun.computed, rerun.cached), (0, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,10 +4,9 @@
 //! × retry policies (Figures 2–11, Table 1) — and this crate runs that grid
 //! as *one system* instead of twenty hand-rolled binaries:
 //!
-//! * [`spec`] — an [`ExperimentSpec`](spec::ExperimentSpec) declares a
-//!   figure/table as a list of independent [`CellSpec`](cell::CellSpec)s
-//!   plus a render function that turns cell results into the legacy tables
-//!   and TSV, bit for bit.
+//! * [`spec`] — an [`ExperimentSpec`] declares a figure/table as a list of
+//!   independent [`CellSpec`]s plus a render function that turns cell
+//!   results into the legacy tables and TSV, bit for bit.
 //! * [`cell`] — the cell vocabulary: STAMP measurement cells, footprint
 //!   traces, the Figure-6 queue and Figure-9 TLS application cells, the
 //!   policy micro-benchmark, certifier-overhead pairs, and lint cells.

@@ -48,7 +48,8 @@ pub enum FallbackPolicy {
     /// execution, value-based validation, commit under the sequence lock.
     Stm,
     /// POWER8 rollback-only transactions with software read validation; on
-    /// platforms without rollback-only support this degrades to [`Lock`].
+    /// platforms without rollback-only support this degrades to
+    /// [`Lock`](FallbackPolicy::Lock).
     Rot,
     /// The `htm-adapt` online contention manager: every block picks its
     /// own tier (hardware → capacity-spilled hardware → rollback-only →

@@ -2,14 +2,16 @@
 //!
 //! [`explore`] enumerates block-level interleavings of a [`Kernel`] running
 //! on the *real* TM engine, one controlled execution per schedule: a fresh
-//! [`Sim`] is built, a [`Controller`](crate::sched::Controller) serializes
-//! the workers, and the forced schedule prefix steers execution down the
-//! next unexplored branch. On every completed schedule the checker verifies
+//! [`Sim`] is built, a [`Controller`] serializes the workers, and the
+//! forced schedule prefix steers execution down the next unexplored
+//! branch. On every completed schedule the checker verifies
 //!
 //! * **serializability** — the runtime certifier's conflict-graph check
-//!   over committed events ([`RunStats::certify`]);
+//!   over committed events
+//!   ([`RunStats::certify`](htm_runtime::RunStats::certify));
 //! * **opacity** — every read in every *aborted* attempt is justified by a
-//!   consistent committed snapshot ([`RunStats::opacity`]);
+//!   consistent committed snapshot
+//!   ([`RunStats::opacity`](htm_runtime::RunStats::opacity));
 //! * **serial equivalence** — the final memory digest matches one of the
 //!   kernel's block-level serial executions (a value-blind catch-all for
 //!   lost updates and dirty publishes);

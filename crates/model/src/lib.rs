@@ -12,15 +12,15 @@
 //!
 //! The pieces:
 //!
-//! * [`sched`] — the [`Explorer`](sched::Explorer) policy on
-//!   `htm_runtime`'s cooperative scheduler: forced-prefix replay, per-step
-//!   access footprints, and deadlock/starvation verdicts;
+//! * [`sched`] — the [`Explorer`] policy on `htm_runtime`'s cooperative
+//!   scheduler: forced-prefix replay, per-step access footprints, and
+//!   deadlock/starvation verdicts;
 //! * [`kernel`] — loop-free multi-threaded micro-programs (2–3 threads,
 //!   2–4 blocks) plus the default suite;
-//! * [`explore`] — the schedule enumerator: naive full branching, DPOR
-//!   (sleep sets + conflict-driven backtrack sets), and bounded-preemption
-//!   modes, with serializability / opacity / serial-equivalence /
-//!   deadlock checking on every schedule;
+//! * [`explore`](mod@explore) — the schedule enumerator: naive full
+//!   branching, DPOR (sleep sets + conflict-driven backtrack sets), and
+//!   bounded-preemption modes, with serializability / opacity /
+//!   serial-equivalence / deadlock checking on every schedule;
 //! * [`trace`] — replayable `htm-model-trace v1` counterexamples.
 //!
 //! The stock engine passes every kernel in the suite on all platforms and

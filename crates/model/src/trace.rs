@@ -3,9 +3,9 @@
 //! A [`ModelTrace`] pins everything a violation needs to reproduce: the
 //! kernel (by suite name), platform, tier, seed, seeded bug, the violation
 //! class, and the exact grant schedule. [`ModelTrace::replay`] rebuilds the
-//! identical [`ModelConfig`](crate::ModelConfig), forces the recorded
-//! schedule through a fresh controlled execution, and checks that the same
-//! violation class reappears — deterministically, every time.
+//! identical [`ModelConfig`], forces the recorded schedule through a fresh
+//! controlled execution, and checks that the same violation class
+//! reappears — deterministically, every time.
 //!
 //! The text format (`htm-model-trace v1`) is line-oriented and diffable;
 //! `#`-prefixed lines are comments (the saved interleaving diagram rides
@@ -51,7 +51,7 @@ fn platform_parse(s: &str) -> Option<Platform> {
 }
 
 impl ModelTrace {
-    /// Packages a counterexample found by [`crate::explore`].
+    /// Packages a counterexample found by [`crate::explore()`].
     pub fn from_counterexample(cfg: &ModelConfig, cx: &Counterexample) -> ModelTrace {
         ModelTrace {
             kernel: cfg.kernel.name.to_string(),

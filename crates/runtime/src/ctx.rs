@@ -702,11 +702,15 @@ impl ThreadCtx {
         let turnstile = self.replayer.as_ref().expect("replayer present").turnstile.clone();
         turnstile.await_turn(rec.outcome.order());
         let r = match rec.outcome {
-            BlockOutcome::Hw { .. } => self.replay_committed_hw(body, false),
-            BlockOutcome::Constrained { .. } => self.replay_committed_hw(body, true),
-            BlockOutcome::Stm { .. } => self.replay_committed_soft(body, false),
-            BlockOutcome::Rot { .. } => self.replay_committed_soft(body, true),
-            BlockOutcome::Spilled { .. } => self.replay_committed_spill(body),
+            BlockOutcome::Hw { .. } => {
+                self.replay_committed(body, |s, b| s.attempt_hw(b, false, false, false))
+            }
+            BlockOutcome::Constrained { .. } => {
+                self.replay_committed(body, |s, b| s.attempt_constrained(b))
+            }
+            BlockOutcome::Stm { .. } => self.replay_committed(body, |s, b| s.attempt_stm(b)),
+            BlockOutcome::Rot { .. } => self.replay_committed(body, |s, b| s.attempt_rot(b)),
+            BlockOutcome::Spilled { .. } => self.replay_committed(body, |s, b| s.attempt_spill(b)),
             BlockOutcome::Irrevocable { degraded, trip, .. } => {
                 if trip {
                     self.eng.stats.watchdog_trips += 1;
@@ -722,82 +726,31 @@ impl ThreadCtx {
         r
     }
 
-    /// Executes a block recorded as a hardware commit. The turnstile
-    /// serializes all replayed blocks, so the attempt cannot conflict with
-    /// another transaction and commits on its recorded path; unexpected
-    /// aborts (e.g. a racing non-transactional store from workload code
-    /// outside any atomic block) are retried with the workload RNG restored
-    /// so the body's draw stream stays identical.
-    fn replay_committed_hw<R>(
+    /// Executes a block recorded as a transactional commit by running
+    /// `attempt` (the recorded tier's attempt) until it commits. The
+    /// turnstile serializes all replayed blocks, so the attempt cannot
+    /// conflict with another transaction and commits on its recorded path;
+    /// unexpected aborts (e.g. a racing non-transactional store from
+    /// workload code outside any atomic block) are retried with the
+    /// workload RNG restored so the body's draw stream stays identical.
+    fn replay_committed<R, B>(
         &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        constrained: bool,
-    ) -> R {
+        body: &mut B,
+        attempt: impl Fn(&mut Self, &mut B) -> Outcome<R>,
+    ) -> R
+    where
+        B: FnMut(&mut Tx<'_>) -> TxResult<R>,
+    {
         let mut tries = 0u32;
         loop {
             let saved_rng = self.eng.clone_workload_rng();
-            let out = if constrained {
-                self.attempt_constrained(body)
-            } else {
-                self.attempt_hw(body, false, false, false)
-            };
-            match out {
+            match attempt(self, body) {
                 Outcome::Committed(r) => return r,
                 Outcome::Aborted(cause) => {
                     tries += 1;
                     assert!(
                         tries < 1024,
                         "replay diverged: a serialized attempt keeps aborting ({cause})"
-                    );
-                    self.eng.restore_workload_rng(saved_rng);
-                }
-            }
-        }
-    }
-
-    /// Executes a block recorded as a software (STM or ROT) commit. The
-    /// turnstile serializes replayed blocks, so validation passes and the
-    /// attempt commits on its recorded path; unexpected aborts are retried
-    /// with the workload RNG restored, as for hardware replays.
-    fn replay_committed_soft<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        rot: bool,
-    ) -> R {
-        let mut tries = 0u32;
-        loop {
-            let saved_rng = self.eng.clone_workload_rng();
-            let out = if rot { self.attempt_rot(body) } else { self.attempt_stm(body) };
-            match out {
-                Outcome::Committed(r) => return r,
-                Outcome::Aborted(cause) => {
-                    tries += 1;
-                    assert!(
-                        tries < 1024,
-                        "replay diverged: a serialized software commit keeps aborting ({cause})"
-                    );
-                    self.eng.restore_workload_rng(saved_rng);
-                }
-            }
-        }
-    }
-
-    /// Executes a block recorded as a capacity-spilled commit, with the same
-    /// serialized-retry discipline as the other replay paths.
-    fn replay_committed_spill<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> R {
-        let mut tries = 0u32;
-        loop {
-            let saved_rng = self.eng.clone_workload_rng();
-            match self.attempt_spill(body) {
-                Outcome::Committed(r) => return r,
-                Outcome::Aborted(cause) => {
-                    tries += 1;
-                    assert!(
-                        tries < 1024,
-                        "replay diverged: a serialized spill commit keeps aborting ({cause})"
                     );
                     self.eng.restore_workload_rng(saved_rng);
                 }

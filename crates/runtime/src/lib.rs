@@ -23,10 +23,10 @@
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
-//! * [`certify`] — the runtime correctness certifier: committed atomic
-//!   blocks log their read/write sets and commit order, and a post-run
-//!   sweep checks conflict-serializability and read freshness
-//!   ([`CertifyReport`]),
+//! * [`certify`](mod@certify) — the runtime correctness certifier:
+//!   committed atomic blocks log their read/write sets and commit order,
+//!   and a post-run sweep checks conflict-serializability and read
+//!   freshness ([`CertifyReport`]),
 //! * [`replay`] — deterministic record/replay: `Sim::record_parallel`
 //!   captures a [`ScheduleTrace`] of every scheduling decision and
 //!   `Sim::replay` re-executes it bit-identically,

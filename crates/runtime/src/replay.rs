@@ -209,9 +209,15 @@ impl ScheduleTrace {
 
     /// Parses a trace from its text representation.
     ///
+    /// Every count the text declares is checked: thread sections come in
+    /// order and hold their declared number of blocks, each block holds its
+    /// declared number of attempts and ends in one commit line, and the
+    /// commit orders are exactly `0..blocks`, each once (anything else
+    /// would stall or break the replay turnstile).
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line or count.
     pub fn from_text(text: &str) -> Result<ScheduleTrace, String> {
         let mut lines = text.lines().enumerate();
         let bad = |n: usize, what: &str| format!("schedule trace line {}: {what}", n + 1);
@@ -228,27 +234,41 @@ impl ScheduleTrace {
             ),
             _ => return Err(bad(n, "expected `threads <n> seed <s>`")),
         };
-        let mut per_thread: Vec<Vec<BlockRecord>> = Vec::with_capacity(threads as usize);
-        let mut cur_blocks: Option<Vec<BlockRecord>> = None;
-        let mut cur_attempts: Vec<AttemptRecord> = Vec::new();
+        let mut per_thread: Vec<Vec<BlockRecord>> = Vec::new();
+        // The open thread section and the open block, each with its
+        // declared count.
+        let mut thread: Option<(usize, Vec<BlockRecord>)> = None;
+        let mut block: Option<(usize, Vec<AttemptRecord>)> = None;
         for (n, line) in lines {
             let parts: Vec<&str> = line.split_whitespace().collect();
             match parts.as_slice() {
-                ["thread", _, "blocks", _] => {
-                    if let Some(done) = cur_blocks.take() {
-                        per_thread.push(done);
+                ["thread", t, "blocks", b] => {
+                    if block.is_some() {
+                        return Err(bad(n, "thread starts inside a block"));
                     }
-                    cur_blocks = Some(Vec::new());
+                    close_thread(thread.take(), &mut per_thread)?;
+                    if t.parse::<usize>().ok() != Some(per_thread.len()) {
+                        return Err(bad(n, "thread sections out of order"));
+                    }
+                    thread = Some((b.parse().map_err(|_| bad(n, "bad block count"))?, Vec::new()));
                 }
-                ["block", "attempts", _] => {
-                    cur_attempts.clear();
+                ["block", "attempts", k] => {
+                    if thread.is_none() {
+                        return Err(bad(n, "block outside a thread"));
+                    }
+                    if block.is_some() {
+                        return Err(bad(n, "block starts before the previous one committed"));
+                    }
+                    block = Some((k.parse().map_err(|_| bad(n, "bad attempt count"))?, Vec::new()));
                 }
                 ["attempt", "cause", c, "cat", k, "faults", f, "draws", d, "allocs", rest @ ..] => {
+                    let (_, attempts) =
+                        block.as_mut().ok_or_else(|| bad(n, "attempt outside a block"))?;
                     let mut allocs = Vec::with_capacity(rest.len());
                     for w in rest {
                         allocs.push(w.parse::<u32>().map_err(|_| bad(n, "bad alloc size"))?);
                     }
-                    cur_attempts.push(AttemptRecord {
+                    attempts.push(AttemptRecord {
                         cause: c.parse().map_err(|_| bad(n, "bad cause"))?,
                         category: k.parse().map_err(|_| bad(n, "bad category"))?,
                         faults: f.parse().map_err(|_| bad(n, "bad fault count"))?,
@@ -257,46 +277,60 @@ impl ScheduleTrace {
                     });
                 }
                 ["commit", kind, args @ ..] => {
-                    let blocks =
-                        cur_blocks.as_mut().ok_or_else(|| bad(n, "commit outside a thread"))?;
+                    let (declared, attempts) =
+                        block.take().ok_or_else(|| bad(n, "commit outside a block"))?;
+                    if attempts.len() != declared {
+                        return Err(bad(
+                            n,
+                            &format!(
+                                "block declares {declared} attempts but has {}",
+                                attempts.len()
+                            ),
+                        ));
+                    }
+                    let order = |o: &str| o.parse::<u64>().map_err(|_| bad(n, "bad order"));
                     let outcome = match (*kind, args) {
-                        ("hw", [o]) => {
-                            BlockOutcome::Hw { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("cx", [o]) => BlockOutcome::Constrained {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
-                        },
-                        ("stm", [o]) => {
-                            BlockOutcome::Stm { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("rot", [o]) => {
-                            BlockOutcome::Rot { order: o.parse().map_err(|_| bad(n, "bad order"))? }
-                        }
-                        ("sp", [o]) => BlockOutcome::Spilled {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
-                        },
+                        ("hw", [o]) => BlockOutcome::Hw { order: order(o)? },
+                        ("cx", [o]) => BlockOutcome::Constrained { order: order(o)? },
+                        ("stm", [o]) => BlockOutcome::Stm { order: order(o)? },
+                        ("rot", [o]) => BlockOutcome::Rot { order: order(o)? },
+                        ("sp", [o]) => BlockOutcome::Spilled { order: order(o)? },
                         ("irr", [o, d, t]) => BlockOutcome::Irrevocable {
-                            order: o.parse().map_err(|_| bad(n, "bad order"))?,
+                            order: order(o)?,
                             degraded: *d == "1",
                             trip: *t == "1",
                         },
                         _ => return Err(bad(n, "bad commit line")),
                     };
-                    blocks
-                        .push(BlockRecord { attempts: std::mem::take(&mut cur_attempts), outcome });
+                    let (_, blocks) = thread.as_mut().expect("an open block has an open thread");
+                    blocks.push(BlockRecord { attempts, outcome });
                 }
                 [] => {}
                 _ => return Err(bad(n, "unrecognized line")),
             }
         }
-        if let Some(done) = cur_blocks.take() {
-            per_thread.push(done);
+        if block.is_some() {
+            return Err("schedule trace ends inside a block".into());
         }
+        close_thread(thread, &mut per_thread)?;
         if per_thread.len() != threads as usize {
             return Err(format!(
                 "schedule trace declares {threads} threads but contains {}",
                 per_thread.len()
             ));
+        }
+        let mut orders: Vec<u64> = per_thread.iter().flatten().map(|b| b.outcome.order()).collect();
+        orders.sort_unstable();
+        for (i, &o) in (0u64..).zip(&orders) {
+            if o < i {
+                return Err(format!("schedule trace commit order {o} repeats"));
+            }
+            if o > i {
+                return Err(format!(
+                    "schedule trace commit order {i} is missing ({} blocks)",
+                    orders.len()
+                ));
+            }
         }
         Ok(ScheduleTrace { threads, seed, per_thread })
     }
@@ -325,6 +359,25 @@ impl ScheduleTrace {
 
 fn per_thread_len(per_thread: &[Vec<BlockRecord>]) -> u32 {
     per_thread.len() as u32
+}
+
+/// Ends the open thread section of a parse, checking its declared block
+/// count.
+fn close_thread(
+    open: Option<(usize, Vec<BlockRecord>)>,
+    per_thread: &mut Vec<Vec<BlockRecord>>,
+) -> Result<(), String> {
+    if let Some((declared, blocks)) = open {
+        if blocks.len() != declared {
+            return Err(format!(
+                "schedule trace thread {} declares {declared} blocks but has {}",
+                per_thread.len(),
+                blocks.len()
+            ));
+        }
+        per_thread.push(blocks);
+    }
+    Ok(())
 }
 
 fn parse_u64(s: &str) -> Option<u64> {
@@ -452,6 +505,41 @@ mod tests {
         assert!(ScheduleTrace::from_text("htm-schedule-trace v1\nthreads 2 seed 0x5\n").is_err());
         let garbage = "htm-schedule-trace v1\nthreads 1 seed 1\nthread 0 blocks 1\nwat\n";
         assert!(ScheduleTrace::from_text(garbage).is_err());
+
+        let rejects = |body: &str, why: &str| {
+            let text = format!("htm-schedule-trace v1\n{body}");
+            let err = ScheduleTrace::from_text(&text).expect_err(body);
+            assert!(err.contains(why), "{body:?}: {err}");
+        };
+        // A huge declared thread count is an error, not an allocation.
+        rejects("threads 4000000000 seed 0\n", "declares 4000000000 threads but contains 0");
+        rejects("threads 1 seed 0\nthread 1 blocks 0\n", "thread sections out of order");
+        rejects(
+            "threads 1 seed 0\nthread 0 blocks 2\nblock attempts 0\ncommit hw 0\n",
+            "declares 2 blocks",
+        );
+        let attempt = "attempt cause 1 cat 1 faults 0 draws 0 allocs\n";
+        rejects(
+            &format!(
+                "threads 1 seed 0\nthread 0 blocks 1\nblock attempts 2\n{attempt}commit hw 0\n"
+            ),
+            "declares 2 attempts but has 1",
+        );
+        rejects(
+            &format!("threads 1 seed 0\nthread 0 blocks 1\n{attempt}"),
+            "attempt outside a block",
+        );
+        rejects("threads 1 seed 0\nthread 0 blocks 1\ncommit hw 0\n", "commit outside a block");
+        rejects("threads 1 seed 0\nthread 0 blocks 1\nblock attempts 0\n", "ends inside a block");
+        // Commit orders must be exactly 0..blocks, each once.
+        rejects(
+            "threads 1 seed 0\nthread 0 blocks 1\nblock attempts 0\ncommit hw 1\n",
+            "order 0 is missing",
+        );
+        let two = "threads 1 seed 0\nthread 0 blocks 2\nblock attempts 0\ncommit hw 0\nblock attempts 0\n";
+        rejects(&format!("{two}commit stm 0\n"), "order 0 repeats");
+        assert!(ScheduleTrace::from_text(&format!("htm-schedule-trace v1\n{two}commit stm 1\n"))
+            .is_ok());
     }
 
     #[test]

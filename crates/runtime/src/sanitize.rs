@@ -1,7 +1,7 @@
 //! Per-thread capture for the happens-before race sanitizer
 //! ([`SimConfig::sanitize`](crate::SimConfig)).
 //!
-//! An [`HbCapture`] lives inside each worker's transaction engine and
+//! An `HbCapture` lives inside each worker's transaction engine and
 //! mirrors the certifier's capture discipline: transactional accesses
 //! accumulate in a per-attempt buffer that is folded into the record only
 //! when the attempt commits (aborted attempts never happened), while

@@ -127,77 +127,140 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters collected by one worker thread.
-#[derive(Clone, Debug, Default)]
-pub struct ThreadStats {
-    /// Hardware transactions that committed.
-    pub hw_commits: u64,
-    /// Atomic blocks executed irrevocably under the global lock.
-    pub irrevocable_commits: u64,
-    /// Software (NOrec-style STM fallback) transactions that committed,
-    /// under [`FallbackPolicy::Stm`](htm_hytm::FallbackPolicy).
-    pub stm_commits: u64,
-    /// Software-transaction attempts that failed value-based validation of
-    /// their read log (at commit or at an incremental revalidation).
-    pub stm_validation_aborts: u64,
-    /// POWER8 rollback-only transactions that committed, under
-    /// [`FallbackPolicy::Rot`](htm_hytm::FallbackPolicy).
-    pub rot_commits: u64,
-    /// Times a software-tier commit had to wait for the sequence lock
-    /// (contended STM/ROT commits; lock-tier acquisitions are not counted
-    /// here).
-    pub fallback_lock_waits: u64,
-    /// Capacity-spilled POWER8 transactions that committed (hardware
-    /// commits whose overflow footprint was validated through the side
-    /// log). A subset of neither [`ThreadStats::hw_commits`] nor
-    /// [`ThreadStats::stm_commits`]: spilled commits are their own tier.
-    pub spill_commits: u64,
-    /// Overflow entries spilled past the TMCAM into the software side log
-    /// (one per spilled first-access, summed over attempts).
-    pub capacity_spills: u64,
-    /// Times the adaptive contention manager changed execution tier at an
-    /// observation-window boundary (or on a starvation rescue).
-    pub tier_switches: u64,
-    /// Simulated cycles spent in randomized exponential backoff between
-    /// attempts under the adaptive policy.
-    pub backoff_cycles: u64,
-    /// Watchdog trips under the adaptive policy that forced the controller
-    /// into its lock-tier rescue window (a subset of
-    /// [`ThreadStats::watchdog_trips`]).
-    pub adapt_starvation_rescues: u64,
-    /// Aborts per Figure-3 category (indexed by position in
-    /// [`AbortCategory::ALL`]).
-    pub aborts: [u64; 5],
-    /// Simulated cycles spent blocked waiting for Blue Gene/Q speculation
-    /// IDs.
-    pub spec_id_wait_cycles: u64,
-    /// Simulated cycles spent spinning on the global lock (lemming
-    /// avoidance + acquisition).
-    pub lock_wait_cycles: u64,
-    /// Final value of the thread's simulated clock.
-    pub cycles: u64,
-    /// Faults injected into this thread by the run's
-    /// [`FaultPlan`](crate::FaultPlan) (0 under the empty plan).
-    pub injected_faults: u64,
-    /// Times the livelock watchdog tripped: an atomic block exhausted its
-    /// starvation bound and was forced into degraded (irrevocable)
-    /// execution.
-    pub watchdog_trips: u64,
-    /// Atomic blocks committed in degraded mode after a watchdog trip
-    /// (a subset of [`ThreadStats::irrevocable_commits`]).
-    pub degraded_commits: u64,
-    /// Simulated cycles spent executing in degraded mode.
-    pub degraded_cycles: u64,
-    /// Footprints (distinct load lines, distinct store lines) of committed
-    /// transactions, recorded only when tracing is enabled.
-    pub footprints: Vec<(u32, u32)>,
-    /// Conflict aborts attributed to their aggressor thread and line,
-    /// recorded only under [`SimConfig::sanitize`](crate::SimConfig).
-    pub conflicts: Vec<ConflictEvent>,
-    /// Per-request simulated-cycle latencies recorded by service workloads
-    /// via [`ThreadCtx::record_latency`](crate::ThreadCtx::record_latency)
-    /// (empty for workloads that never record).
-    pub latency: LatencyHistogram,
+/// Declares the run counters once. The invocation below reads as the
+/// [`ThreadStats`] struct, except that its scalar `u64` counters sit in a
+/// `counters { .. }` block as `name,` entries with their docs. Each entry
+/// becomes
+///
+/// * a `pub name: u64` field of `ThreadStats`,
+/// * a line of [`ThreadStats::merge`],
+/// * a [`RunStats`] method `name()` summing it over threads, and
+/// * a name in [`ThreadStats::COUNTERS`] and a row of
+///   [`RunStats::counters`], which cell results and the result-cache key
+///   read instead of naming counters.
+///
+/// The fields after the block are passed through as written and merged by
+/// hand.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct ThreadStats {
+            counters {
+                $( $(#[doc = $doc:literal])+ $name:ident, )+
+            }
+            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty, )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct ThreadStats {
+            $( $(#[doc = $doc])+ pub $name: u64, )+
+            $( $(#[$fmeta])* pub $field: $fty, )+
+        }
+
+        impl ThreadStats {
+            /// The scalar counters' names, in declaration order.
+            pub const COUNTERS: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// Adds `other`'s scalar counters to `self`'s.
+            fn add_counters(&mut self, other: &ThreadStats) {
+                $( self.$name += other.$name; )+
+            }
+        }
+
+        impl RunStats {
+            $(
+                #[doc = concat!("[`ThreadStats::", stringify!($name), "`] summed over threads.")]
+                pub fn $name(&self) -> u64 {
+                    self.threads.iter().map(|t| t.$name).sum()
+                }
+            )+
+
+            /// Every scalar counter's name and its sum over threads, in
+            /// [`ThreadStats::COUNTERS`] order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($name), self.$name()) ),+].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counters collected by one worker thread.
+    #[derive(Clone, Debug, Default)]
+    pub struct ThreadStats {
+        counters {
+            /// Hardware transactions that committed.
+            hw_commits,
+            /// Atomic blocks executed irrevocably under the global lock.
+            irrevocable_commits,
+            /// Software (NOrec-style STM fallback) transactions that committed,
+            /// under [`FallbackPolicy::Stm`](htm_hytm::FallbackPolicy).
+            stm_commits,
+            /// Software-transaction attempts that failed value-based validation of
+            /// their read log (at commit or at an incremental revalidation). Not
+            /// part of the Figure-3 hardware abort categories: a validation
+            /// failure is a software retry, not a hardware abort.
+            stm_validation_aborts,
+            /// POWER8 rollback-only transactions that committed, under
+            /// [`FallbackPolicy::Rot`](htm_hytm::FallbackPolicy).
+            rot_commits,
+            /// Times a software-tier commit had to wait for the sequence lock
+            /// (contended STM/ROT commits; lock-tier acquisitions are not counted
+            /// here).
+            fallback_lock_waits,
+            /// Capacity-spilled POWER8 transactions that committed (hardware
+            /// commits whose overflow footprint was validated through the side
+            /// log). A subset of neither [`ThreadStats::hw_commits`] nor
+            /// [`ThreadStats::stm_commits`]: spilled commits are their own tier.
+            spill_commits,
+            /// Overflow entries spilled past the TMCAM into the software side log
+            /// (one per spilled first-access, summed over attempts).
+            capacity_spills,
+            /// Times the adaptive contention manager changed execution tier at an
+            /// observation-window boundary (or on a starvation rescue).
+            tier_switches,
+            /// Simulated cycles spent in randomized exponential backoff between
+            /// attempts under the adaptive policy.
+            backoff_cycles,
+            /// Watchdog trips under the adaptive policy that forced the controller
+            /// into its lock-tier rescue window (a subset of
+            /// [`ThreadStats::watchdog_trips`]).
+            adapt_starvation_rescues,
+            /// Simulated cycles spent blocked waiting for Blue Gene/Q speculation
+            /// IDs.
+            spec_id_wait_cycles,
+            /// Simulated cycles spent spinning on the global lock (lemming
+            /// avoidance + acquisition).
+            lock_wait_cycles,
+            /// Faults injected into this thread by the run's
+            /// [`FaultPlan`](crate::FaultPlan) (0 under the empty plan).
+            injected_faults,
+            /// Times the livelock watchdog tripped: an atomic block exhausted its
+            /// starvation bound and was forced into degraded (irrevocable)
+            /// execution.
+            watchdog_trips,
+            /// Atomic blocks committed in degraded mode after a watchdog trip
+            /// (a subset of [`ThreadStats::irrevocable_commits`]).
+            degraded_commits,
+            /// Simulated cycles spent executing in degraded mode.
+            degraded_cycles,
+        }
+        /// Aborts per Figure-3 category (indexed by position in
+        /// [`AbortCategory::ALL`]).
+        pub aborts: [u64; 5],
+        /// Final value of the thread's simulated clock.
+        pub cycles: u64,
+        /// Footprints (distinct load lines, distinct store lines) of committed
+        /// transactions, recorded only when tracing is enabled.
+        pub footprints: Vec<(u32, u32)>,
+        /// Conflict aborts attributed to their aggressor thread and line,
+        /// recorded only under [`SimConfig::sanitize`](crate::SimConfig).
+        pub conflicts: Vec<ConflictEvent>,
+        /// Per-request simulated-cycle latencies recorded by service workloads
+        /// via [`ThreadCtx::record_latency`](crate::ThreadCtx::record_latency)
+        /// (empty for workloads that never record).
+        pub latency: LatencyHistogram,
+    }
 }
 
 impl ThreadStats {
@@ -215,27 +278,11 @@ impl ThreadStats {
     /// back to back: counters sum, clocks add, and recorded footprints and
     /// conflict events concatenate.
     pub fn merge(&mut self, other: &ThreadStats) {
-        self.hw_commits += other.hw_commits;
-        self.irrevocable_commits += other.irrevocable_commits;
-        self.stm_commits += other.stm_commits;
-        self.stm_validation_aborts += other.stm_validation_aborts;
-        self.rot_commits += other.rot_commits;
-        self.fallback_lock_waits += other.fallback_lock_waits;
-        self.spill_commits += other.spill_commits;
-        self.capacity_spills += other.capacity_spills;
-        self.tier_switches += other.tier_switches;
-        self.backoff_cycles += other.backoff_cycles;
-        self.adapt_starvation_rescues += other.adapt_starvation_rescues;
+        self.add_counters(other);
         for (a, b) in self.aborts.iter_mut().zip(other.aborts.iter()) {
             *a += b;
         }
-        self.spec_id_wait_cycles += other.spec_id_wait_cycles;
-        self.lock_wait_cycles += other.lock_wait_cycles;
         self.cycles += other.cycles;
-        self.injected_faults += other.injected_faults;
-        self.watchdog_trips += other.watchdog_trips;
-        self.degraded_commits += other.degraded_commits;
-        self.degraded_cycles += other.degraded_cycles;
         self.footprints.extend_from_slice(&other.footprints);
         self.conflicts.extend_from_slice(&other.conflicts);
         self.latency.merge(&other.latency);
@@ -329,65 +376,6 @@ impl RunStats {
         self.threads.iter().map(|t| t.cycles).max().unwrap_or(0)
     }
 
-    /// Hardware commits summed over threads.
-    pub fn hw_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.hw_commits).sum()
-    }
-
-    /// Irrevocable commits summed over threads.
-    pub fn irrevocable_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.irrevocable_commits).sum()
-    }
-
-    /// Software (STM fallback) commits summed over threads.
-    pub fn stm_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.stm_commits).sum()
-    }
-
-    /// STM read-log validation failures summed over threads. Not part of
-    /// the Figure-3 hardware abort categories: a validation failure is a
-    /// software retry, not a hardware abort.
-    pub fn stm_validation_aborts(&self) -> u64 {
-        self.threads.iter().map(|t| t.stm_validation_aborts).sum()
-    }
-
-    /// Rollback-only (ROT tier) commits summed over threads.
-    pub fn rot_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.rot_commits).sum()
-    }
-
-    /// Contended software-tier commit lock acquisitions summed over
-    /// threads.
-    pub fn fallback_lock_waits(&self) -> u64 {
-        self.threads.iter().map(|t| t.fallback_lock_waits).sum()
-    }
-
-    /// Capacity-spilled commits summed over threads.
-    pub fn spill_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.spill_commits).sum()
-    }
-
-    /// Overflow entries spilled past the TMCAM, summed over threads.
-    pub fn capacity_spills(&self) -> u64 {
-        self.threads.iter().map(|t| t.capacity_spills).sum()
-    }
-
-    /// Adaptive-controller tier switches summed over threads.
-    pub fn tier_switches(&self) -> u64 {
-        self.threads.iter().map(|t| t.tier_switches).sum()
-    }
-
-    /// Simulated backoff cycles summed over threads.
-    pub fn backoff_cycles(&self) -> u64 {
-        self.threads.iter().map(|t| t.backoff_cycles).sum()
-    }
-
-    /// Adaptive starvation rescues summed over threads (a subset of
-    /// [`RunStats::watchdog_trips`]).
-    pub fn adapt_starvation_rescues(&self) -> u64 {
-        self.threads.iter().map(|t| t.adapt_starvation_rescues).sum()
-    }
-
     /// Total aborts summed over threads.
     pub fn total_aborts(&self) -> u64 {
         self.threads.iter().map(|t| t.total_aborts()).sum()
@@ -397,27 +385,6 @@ impl RunStats {
     pub fn aborts_in(&self, category: AbortCategory) -> u64 {
         let idx = category.index();
         self.threads.iter().map(|t| t.aborts[idx]).sum()
-    }
-
-    /// Injected faults summed over threads (0 under the empty plan).
-    pub fn injected_faults(&self) -> u64 {
-        self.threads.iter().map(|t| t.injected_faults).sum()
-    }
-
-    /// Livelock-watchdog trips summed over threads.
-    pub fn watchdog_trips(&self) -> u64 {
-        self.threads.iter().map(|t| t.watchdog_trips).sum()
-    }
-
-    /// Degraded-mode commits summed over threads (a subset of
-    /// [`RunStats::irrevocable_commits`]).
-    pub fn degraded_commits(&self) -> u64 {
-        self.threads.iter().map(|t| t.degraded_commits).sum()
-    }
-
-    /// Simulated cycles spent in degraded mode, summed over threads.
-    pub fn degraded_cycles(&self) -> u64 {
-        self.threads.iter().map(|t| t.degraded_cycles).sum()
     }
 
     /// The paper's transaction-abort ratio: aborted transactions as a
@@ -702,6 +669,53 @@ mod tests {
         let mut rhs = b.clone();
         rhs.merge(&RunStats::new(vec![]));
         assert_eq!(rhs.certify.as_ref().unwrap().events, 4);
+    }
+
+    /// The value of field `name` read from `t`'s `Debug` text, so a test
+    /// can look counters up by name without keeping a list of them.
+    fn debug_field(t: &ThreadStats, name: &str) -> u64 {
+        let text = format!("{t:?}");
+        let key = format!(" {name}: ");
+        let at = text.find(&key).unwrap_or_else(|| panic!("no field {name} in {text}"));
+        let digits: String =
+            text[at + key.len()..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().unwrap_or_else(|_| panic!("field {name} is not a number in {text}"))
+    }
+
+    #[test]
+    fn counter_table_sums_every_field_and_merge_doubles_every_total() {
+        use crate::{FallbackPolicy, FaultPlan, RetryPolicy, Sim, SimConfig};
+        use htm_machine::Platform;
+
+        // Two threads on one word, with injected aborts and a one-retry
+        // budget, so the STM fallback commits and most counters are nonzero.
+        let cfg = SimConfig::new(Platform::IntelCore.config())
+            .mem_words(1 << 16)
+            .seed(0x7AB1E)
+            .faults(FaultPlan::none().transient_abort_per_begin(0.4))
+            .fallback(FallbackPolicy::Stm);
+        let sim = Sim::new(cfg);
+        let base = sim.alloc().alloc_aligned(8, 64);
+        let s = sim.run_parallel(2, RetryPolicy::uniform(1), |ctx| {
+            for _ in 0..200 {
+                ctx.atomic(|tx| {
+                    let v = tx.load(base)?;
+                    tx.store(base, v + 1)
+                });
+            }
+        });
+        assert!(s.stm_commits() > 0 && s.injected_faults() > 0, "{s:?}");
+
+        let names: Vec<&str> = s.counters().map(|(name, _)| name).collect();
+        assert_eq!(names, ThreadStats::COUNTERS);
+        for (name, total) in s.counters() {
+            let fields: u64 = s.threads.iter().map(|t| debug_field(t, name)).sum();
+            assert_eq!(total, fields, "{name}");
+        }
+        let doubled = RunStats::merged([&s, &s]);
+        for ((name, once), (_, twice)) in s.counters().zip(doubled.counters()) {
+            assert_eq!(twice, 2 * once, "{name}");
+        }
     }
 
     #[test]

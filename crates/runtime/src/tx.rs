@@ -11,7 +11,8 @@
 //! * maintains the read/write line sets and the private write buffer,
 //! * consults the platform's capacity [`Tracker`], prefetcher and
 //!   speculation-ID pool,
-//! * charges simulated cycles per the platform [`CostModel`],
+//! * charges simulated cycles per the platform
+//!   [`CostModel`](htm_core::CostModel),
 //! * implements POWER8 suspend/resume and rollback-only transactions and
 //!   zEC12 constrained-transaction limit checking.
 
