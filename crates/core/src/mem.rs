@@ -253,6 +253,13 @@ impl TxMemory {
         self.words.len() as u32
     }
 
+    /// Number of conflict-detection lines covering the arena; every line id
+    /// of an arena word is below it.
+    #[inline]
+    pub fn len_lines(&self) -> usize {
+        self.readers.len()
+    }
+
     /// Maps a word address to its conflict-detection line.
     #[inline]
     pub fn line_of(&self, addr: WordAddr) -> LineId {
@@ -570,9 +577,13 @@ impl TxMemory {
     /// finding on Intel Core), but the prefetch itself is dropped if the
     /// line is speculatively owned elsewhere.
     ///
-    /// Returns whether the line was added. The caller must only use this
-    /// for lines not already in its read or write set.
+    /// Returns whether the line was added. A line past the end of the arena
+    /// (a stream running off its last line) is never added. The caller must
+    /// only use this for lines not already in its read or write set.
     pub fn try_read_line_passive(&self, slot: SlotId, line: LineId) -> bool {
+        if line.0 as usize >= self.len_lines() {
+            return false;
+        }
         let (readers, writer) = (self.readers(line), self.writer(line));
         readers.fetch_or(slot.mask(), SeqCst);
         let w = writer.load(SeqCst);
@@ -618,22 +629,11 @@ impl TxMemory {
     ///
     /// Used by the global-lock fallback path, by POWER8 suspended-mode code
     /// and by lock-free algorithms running alongside transactions.
+    #[inline]
     pub fn nontx_load(&self, by: Option<SlotId>, addr: WordAddr) -> u64 {
-        crate::coop::access(self.line_of(addr).0 as u64, false);
         let line = self.line_of(addr);
-        let writer = self.writer(line);
-        let mut spins = 0u64;
-        loop {
-            let w = writer.load(SeqCst);
-            if w == 0 || Some(SlotId((w.max(1) - 1) as u8)) == by {
-                break;
-            }
-            let owner = SlotId((w - 1) as u8);
-            match self.try_doom_from(owner, AbortCause::ConflictNonTx, by, line) {
-                DoomOutcome::Doomed | DoomOutcome::AlreadyDoomed | DoomOutcome::Inactive => break,
-                DoomOutcome::Committing => self.spin(&mut spins),
-            }
-        }
+        crate::coop::access(line.0 as u64, false);
+        self.doom_writer(line, by);
         self.word(addr).load(SeqCst)
     }
 
@@ -681,20 +681,8 @@ impl TxMemory {
     /// a fallback's first sweep and its lock CAS saw the lock free and
     /// committed an update the irrevocable section then overwrote.
     fn write_nontx<R>(&self, line: LineId, by: Option<SlotId>, write: impl FnOnce() -> R) -> R {
-        let (readers, writer) = (self.readers(line), self.writer(line));
-        let mut spins = 0u64;
-        loop {
-            let w = writer.load(SeqCst);
-            if w == 0 || Some(SlotId((w.max(1) - 1) as u8)) == by {
-                break;
-            }
-            let owner = SlotId((w - 1) as u8);
-            match self.try_doom_from(owner, AbortCause::ConflictNonTx, by, line) {
-                DoomOutcome::Doomed | DoomOutcome::AlreadyDoomed | DoomOutcome::Inactive => break,
-                // Wait for the flush so our store lands after the commit.
-                DoomOutcome::Committing => self.spin(&mut spins),
-            }
-        }
+        let readers = self.readers(line);
+        self.doom_writer(line, by);
         let skip = by.map(|s| s.mask()).unwrap_or(0);
         let doom_readers = || {
             for victim in BitIter(readers.load(SeqCst) & !skip) {
@@ -705,6 +693,37 @@ impl TxMemory {
         let result = write();
         doom_readers();
         result
+    }
+
+    /// Dooms the transaction owning `line` for write, unless the line has
+    /// no writer or `by` owns it, the way a coherence request for the line
+    /// would. A committing writer is waited out, so the caller's access
+    /// lands after its flush. The unowned case is the common one and stays
+    /// inline.
+    #[inline]
+    fn doom_writer(&self, line: LineId, by: Option<SlotId>) {
+        let w = self.writer(line).load(SeqCst);
+        if w != 0 && Some(w) != by.map(SlotId::writer_tag) {
+            self.doom_writer_contended(line, by, w);
+        }
+    }
+
+    /// [`TxMemory::doom_writer`] once the line was seen owned by writer tag
+    /// `w` of another slot.
+    #[cold]
+    fn doom_writer_contended(&self, line: LineId, by: Option<SlotId>, mut w: u32) {
+        let mut spins = 0u64;
+        loop {
+            let owner = SlotId((w - 1) as u8);
+            match self.try_doom_from(owner, AbortCause::ConflictNonTx, by, line) {
+                DoomOutcome::Doomed | DoomOutcome::AlreadyDoomed | DoomOutcome::Inactive => return,
+                DoomOutcome::Committing => self.spin(&mut spins),
+            }
+            w = self.writer(line).load(SeqCst);
+            if w == 0 || Some(w) == by.map(SlotId::writer_tag) {
+                return;
+            }
+        }
     }
 
     /// Dooms every live transaction (a big-hammer invalidation, available
@@ -1076,6 +1095,22 @@ mod tests {
         // The passively monitored line now conflicts with a remote store.
         m.tx_claim_line(b, free_line, ConflictPolicy::RequesterWins).unwrap();
         assert_eq!(m.doom_cause(a), Some(AbortCause::ConflictTxStore));
+    }
+
+    #[test]
+    fn passive_read_past_the_arena_is_dropped() {
+        // 1024 words of 64-byte lines: lines 0..128. A stream over the last
+        // lines prefetches ids past the end; they are dropped, not indexed.
+        let m = mem();
+        let s = SlotId(0);
+        m.begin_slot(s);
+        assert_eq!(m.len_lines(), 128);
+        assert_eq!(m.line_of(WordAddr(1023)), LineId(127));
+        assert!(m.try_read_line_passive(s, LineId(127)));
+        assert!(!m.try_read_line_passive(s, LineId(128)));
+        assert!(!m.try_read_line_passive(s, LineId(129)));
+        assert!(!m.try_read_line_passive(s, LineId(u32::MAX)));
+        m.finish_slot(s);
     }
 
     #[test]

@@ -1593,7 +1593,7 @@ impl ThreadCtx {
 /// transactionally and explicitly aborts if it is held (Figure 1 lines
 /// 26–27).
 fn subscribe(eng: &mut TxnEngine, lock_addr: WordAddr) -> TxResult<()> {
-    let v = eng.load(lock_addr)?;
+    let v = Tx { eng: &mut *eng }.load(lock_addr)?;
     if v != 0 {
         return eng.user_abort(LOCK_HELD_ABORT);
     }

@@ -68,6 +68,7 @@ pub mod certify;
 pub mod ctx;
 pub mod executor;
 pub mod faults;
+mod line_set;
 pub mod lock;
 pub mod replay;
 pub mod sanitize;

@@ -149,6 +149,14 @@ impl HbCapture {
         self.close_segment();
         (self.segments, self.truncated)
     }
+
+    /// The capture's state in recording order, without the dedup sets
+    /// (whose iteration order is random), for comparing two captures.
+    #[cfg(test)]
+    pub(crate) fn ordered_state(&self) -> String {
+        let Self { thread, vc, segments, cur, attempt, truncated, .. } = self;
+        format!("{thread} {vc:?} {segments:?} {cur:?} {attempt:?} {truncated}")
+    }
 }
 
 #[cfg(test)]

@@ -68,6 +68,9 @@ impl SeqTracer {
     }
 
     /// Records a load inside the current block.
+    // Cold: only footprint-tracing runs attach a tracer, and out of line it
+    // leaves the engine's sequential load loop its registers.
+    #[cold]
     pub fn record_load(&mut self, addr: WordAddr) {
         if !self.in_block {
             return;

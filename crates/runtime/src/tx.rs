@@ -32,6 +32,7 @@ use htm_machine::{Machine, Prefetcher, Tracker};
 
 use crate::certify::CertCapture;
 use crate::faults::FaultState;
+use crate::line_set::LineSet;
 use crate::sanitize::HbCapture;
 use crate::stats::ThreadStats;
 use crate::trace::SeqTracer;
@@ -87,8 +88,8 @@ pub struct TxnEngine {
     alloc: ThreadAlloc,
     tracker: Tracker,
     prefetcher: Prefetcher,
-    read_lines: FastSet<LineId>,
-    write_lines: FastSet<LineId>,
+    read_lines: LineSet,
+    write_lines: LineSet,
     write_buf: FastMap<WordAddr, u64>,
     aborted: Option<AbortCause>,
     suspend_depth: u32,
@@ -151,7 +152,7 @@ pub struct TxnEngine {
     /// Lines whose tracking overflowed and was spilled to software this
     /// attempt (their reads are value-logged, their stores buffered in
     /// [`TxnEngine::spill_writes`]).
-    spilled_lines: FastSet<LineId>,
+    spilled_lines: LineSet,
     /// Buffered stores to spilled (untracked) lines; published with
     /// dooming non-transactional stores inside the commit's epoch window.
     spill_writes: FastMap<WordAddr, u64>,
@@ -194,6 +195,7 @@ impl TxnEngine {
         let core = machine.config().core_of(thread_id);
         let tracker = machine.new_tracker();
         let prefetcher = machine.new_prefetcher();
+        let lines = mem.len_lines();
         TxnEngine {
             mem,
             machine,
@@ -211,8 +213,8 @@ impl TxnEngine {
             alloc,
             tracker,
             prefetcher,
-            read_lines: FastSet::default(),
-            write_lines: FastSet::default(),
+            read_lines: LineSet::new(lines),
+            write_lines: LineSet::new(lines),
             write_buf: FastMap::default(),
             aborted: None,
             suspend_depth: 0,
@@ -242,7 +244,7 @@ impl TxnEngine {
             soft_epoch_seen: 0,
             rot_soft: false,
             spill_mode: false,
-            spilled_lines: FastSet::default(),
+            spilled_lines: LineSet::new(lines),
             spill_writes: FastMap::default(),
             hybrid_epoch: None,
             stats: ThreadStats::default(),
@@ -525,10 +527,10 @@ impl TxnEngine {
             // footprint: start_commit checks the doom state the protocol
             // keeps per line, so a schedule explorer must see this step
             // conflict with any concurrent access to those lines.
-            for &line in &self.read_lines {
+            for line in self.read_lines.iter() {
                 htm_core::coop::access(line.0 as u64, false);
             }
-            for &line in &self.write_lines {
+            for line in self.write_lines.iter() {
                 htm_core::coop::access(line.0 as u64, true);
             }
             for &addr in self.spill_writes.keys() {
@@ -838,10 +840,19 @@ impl TxnEngine {
             self.epoch_bump(); // even: write-back published
         }
         if self.trace_footprints {
-            let rl: FastSet<LineId> =
-                self.soft_log.entries().iter().map(|&(a, _)| self.mem.line_of(a)).collect();
-            let wl: FastSet<LineId> = self.write_buf.keys().map(|&a| self.mem.line_of(a)).collect();
-            self.stats.footprints.push((rl.len() as u32, wl.len() as u32));
+            // The hardware line sets are idle in a software transaction:
+            // refill them to count the footprint's distinct lines.
+            self.read_lines.clear();
+            self.write_lines.clear();
+            for &(addr, _) in self.soft_log.entries() {
+                self.read_lines.insert(self.mem.line_of(addr));
+            }
+            for &addr in self.write_buf.keys() {
+                self.write_lines.insert(self.mem.line_of(addr));
+            }
+            self.stats
+                .footprints
+                .push((self.read_lines.len() as u32, self.write_lines.len() as u32));
         }
         self.write_buf.clear();
         self.soft_log.clear();
@@ -979,10 +990,10 @@ impl TxnEngine {
     }
 
     fn release_lines(&mut self) {
-        for &line in &self.write_lines {
+        for line in self.write_lines.iter() {
             self.mem.release_writer(line, self.slot);
         }
-        for &line in &self.read_lines {
+        for line in self.read_lines.iter() {
             self.mem.clear_reader(line, self.slot);
         }
     }
@@ -1193,167 +1204,242 @@ impl TxnEngine {
         }
     }
 
-    /// Transactional load.
-    pub(crate) fn load(&mut self, addr: WordAddr) -> TxResult<u64> {
-        let cfg_cost = self.machine.config().cost;
+    /// Transactional load of the `out.len()` consecutive words from `addr`
+    /// on, in address order, with exactly the simulated effect of that many
+    /// one-word loads ([`Tx::load`] is the one-word case).
+    ///
+    /// A run only loads, so nothing but the run itself can change a line's
+    /// read-set membership between two of its words. A hardware run
+    /// therefore settles each line once, at its first word not forwarded
+    /// from a buffered store: the read-set test, the capacity tracker,
+    /// `tx_read_line` and the prefetcher. Every other step stays per word:
+    /// the cycle charge, the fault draw, store-to-load forwarding, the
+    /// opacity doom re-check, certifier and sanitizer capture and the
+    /// pacing yield.
+    ///
+    /// # Errors
+    ///
+    /// Fails at the first word that aborts; `out` then holds the words
+    /// before it and is untouched from it on.
+    // Inline, with the sequential run: the sequential baseline and every
+    // setup phase load one word at a time.
+    #[inline]
+    pub(crate) fn load_words(&mut self, addr: WordAddr, out: &mut [u64]) -> TxResult<()> {
         match self.state {
             BlockState::Idle => panic!("transactional access outside an atomic block"),
             BlockState::Sequential => {
-                self.clock.tick(cfg_cost.load);
-                if let Some(t) = &mut self.tracer {
-                    t.record_load(addr);
+                let load = self.machine.config().cost.load;
+                for (value, addr) in out.iter_mut().zip(run_from(addr)) {
+                    self.clock.tick(load);
+                    if let Some(t) = &mut self.tracer {
+                        t.record_load(addr);
+                    }
+                    *value = self.mem.read_word(addr);
                 }
-                Ok(self.mem.read_word(addr))
+                Ok(())
             }
             BlockState::Irrevocable => {
-                self.clock.tick(cfg_cost.load);
-                if self.trace_footprints {
-                    self.read_lines.insert(self.mem.line_of(addr));
-                }
-                let value = self.mem.nontx_load(Some(self.slot), addr);
-                if let Some(c) = &mut self.cert {
-                    c.get_mut().on_irr_read(addr, value);
-                }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().irr_access(addr, false);
-                }
-                Ok(value)
+                self.irrevocable_load_words(addr, out);
+                Ok(())
             }
-            BlockState::SoftwareTx => {
-                if let Some(cause) = self.aborted {
-                    return Err(Abort::new(cause));
-                }
-                self.charge(cfg_cost.load + hytm_cost::STM_LOAD_EXTRA);
-                if self.injected_access_fault().is_some() {
-                    // Any injected hardware fault surfaces to a software
-                    // attempt as a validation abort.
-                    return self.fail(AbortCause::StmValidation);
-                }
-                if let Some(&v) = self.write_buf.get(&addr) {
-                    self.maybe_yield();
-                    return Ok(v); // store-to-load forwarding
-                }
-                self.soft_reads += 1;
-                if self.soft_reads >= STM_MAX_ACCESSES {
-                    return self.fail(AbortCause::StmValidation);
-                }
-                let raw = self.soft_snapshot_read(addr)?;
-                let value = self.soft_log.record(addr, raw);
-                if self.soft_reads.is_multiple_of(REVALIDATE_PERIOD) {
-                    self.soft_revalidate()?;
-                }
-                if let Some(c) = &mut self.cert {
-                    c.get_mut().on_read(addr, value);
-                }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().tx_access(addr, false);
-                }
-                self.maybe_yield();
-                Ok(value)
+            BlockState::SoftwareTx => self.soft_load_words(addr, out),
+            BlockState::HardwareTx => self.hw_load_words(addr, out),
+        }
+    }
+
+    /// An irrevocable run.
+    fn irrevocable_load_words(&mut self, addr: WordAddr, out: &mut [u64]) {
+        let load = self.machine.config().cost.load;
+        for (value, addr) in out.iter_mut().zip(run_from(addr)) {
+            self.clock.tick(load);
+            if self.trace_footprints {
+                self.read_lines.insert(self.mem.line_of(addr));
             }
-            BlockState::HardwareTx => {
-                if let Some(cause) = self.aborted {
-                    return Err(Abort::new(cause));
-                }
-                if self.suspend_depth > 0 {
-                    // Suspended-mode load: untracked, conflict-free for us.
-                    self.charge(cfg_cost.load);
-                    if let Some(h) = &mut self.hb {
-                        h.get_mut().nontx_read(addr);
-                    }
-                    return Ok(self.mem.nontx_load(Some(self.slot), addr));
-                }
-                self.charge(cfg_cost.load + cfg_cost.tx_load_extra);
-                if let Some(cause) = self.injected_access_fault() {
-                    return self.fail(cause);
-                }
-                if let Some(&v) = self.write_buf.get(&addr) {
-                    self.maybe_yield();
-                    return Ok(v); // store-to-load forwarding
-                }
-                if self.spill_mode {
-                    if let Some(&v) = self.spill_writes.get(&addr) {
-                        self.maybe_yield();
-                        return Ok(v); // forwarding from the spilled side log
-                    }
-                }
-                let line = self.mem.line_of(addr);
-                let mut line_spilled = self.spill_mode && self.spilled_lines.contains(&line);
-                if !line_spilled && !self.rollback_only && !self.read_lines.contains(&line) {
-                    let already_written = self.write_lines.contains(&line);
-                    match self.tracker.on_first_load(line, already_written) {
-                        Ok(()) => {}
-                        // Spill tier: footprint overflow stretches into the
-                        // software side log instead of aborting.
-                        Err(c) if self.spill_mode && c.is_capacity() => {
-                            self.spill_line(line);
-                            line_spilled = true;
-                        }
-                        Err(c) => return self.fail(c),
-                    }
-                    if !line_spilled {
-                        if let Err(c) = self.mem.tx_read_line(self.slot, line, self.policy) {
-                            return self.fail(c);
-                        }
-                        self.read_lines.insert(line);
-                        self.charge_constrained_access(addr);
-                        self.maybe_prefetch(line)?;
-                    }
-                } else if self.constrained.is_some() {
-                    self.charge_constrained_access(addr);
-                }
-                let value = if line_spilled {
-                    // Spilled line: the read is untracked by the TMCAM, so
-                    // it is value-logged on the software snapshot and
-                    // revalidated under the sequence lock at commit.
-                    self.soft_reads += 1;
-                    if self.soft_reads >= STM_MAX_ACCESSES {
-                        return self.fail(AbortCause::SpillValidation);
-                    }
-                    let raw = match self.soft_snapshot_read(addr) {
-                        Ok(v) => v,
-                        Err(_) => return self.fail(AbortCause::SpillValidation),
-                    };
-                    self.soft_log.record(addr, raw)
-                } else if self.rot_soft {
-                    // ROT tier: the load is untracked by the TMCAM, so it
-                    // is value-logged on the software snapshot instead and
-                    // revalidated under the sequence lock at commit.
-                    self.soft_reads += 1;
-                    if self.soft_reads >= STM_MAX_ACCESSES {
-                        return self.fail(AbortCause::StmValidation);
-                    }
-                    let raw = self.soft_snapshot_read(addr)?;
-                    self.soft_log.record(addr, raw)
-                } else {
-                    self.mem.read_word(addr)
-                };
-                // Opacity: never return a value read after we were doomed.
-                if let Some(cause) = self.mem.doom_cause(self.slot) {
-                    return self.fail(cause);
-                }
-                // Plain rollback-only loads are untracked by the hardware,
-                // so the certifier's value check does not apply to them.
-                // ROT-tier loads are software-validated, so it does.
-                if !self.rollback_only || self.rot_soft {
-                    if let Some(c) = &mut self.cert {
-                        c.get_mut().on_read(addr, value);
-                    }
-                }
-                // Sanitizer: buffered until this attempt commits. Rollback-
-                // only loads are still ordered by the transaction's commit,
-                // so they count as transactional reads.
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().tx_access(addr, false);
-                }
-                // Yield *after* the access: quantum boundaries must be able
-                // to land while the line is held, or transactions with
-                // expensive begins execute atomically on the host and
-                // never conflict.
-                self.maybe_yield();
-                Ok(value)
+            *value = self.mem.nontx_load(Some(self.slot), addr);
+            if let Some(c) = &mut self.cert {
+                c.get_mut().on_irr_read(addr, *value);
+            }
+            if let Some(h) = &mut self.hb {
+                h.get_mut().irr_access(addr, false);
             }
         }
+    }
+
+    /// A software-transaction run.
+    fn soft_load_words(&mut self, addr: WordAddr, out: &mut [u64]) -> TxResult<()> {
+        for (value, addr) in out.iter_mut().zip(run_from(addr)) {
+            *value = self.soft_load(addr)?;
+        }
+        Ok(())
+    }
+
+    /// A hardware-transaction run.
+    fn hw_load_words(&mut self, addr: WordAddr, out: &mut [u64]) -> TxResult<()> {
+        let mut settled = None;
+        for (value, addr) in out.iter_mut().zip(run_from(addr)) {
+            *value = self.hw_load(addr, &mut settled)?;
+        }
+        Ok(())
+    }
+
+    /// One word of a software-transaction run.
+    fn soft_load(&mut self, addr: WordAddr) -> TxResult<u64> {
+        if let Some(cause) = self.aborted {
+            return Err(Abort::new(cause));
+        }
+        self.charge(self.machine.config().cost.load + hytm_cost::STM_LOAD_EXTRA);
+        if self.injected_access_fault().is_some() {
+            // Any injected hardware fault surfaces to a software
+            // attempt as a validation abort.
+            return self.fail(AbortCause::StmValidation);
+        }
+        if let Some(&v) = self.write_buf.get(&addr) {
+            self.maybe_yield();
+            return Ok(v); // store-to-load forwarding
+        }
+        self.soft_reads += 1;
+        if self.soft_reads >= STM_MAX_ACCESSES {
+            return self.fail(AbortCause::StmValidation);
+        }
+        let raw = self.soft_snapshot_read(addr)?;
+        let value = self.soft_log.record(addr, raw);
+        if self.soft_reads.is_multiple_of(REVALIDATE_PERIOD) {
+            self.soft_revalidate()?;
+        }
+        if let Some(c) = &mut self.cert {
+            c.get_mut().on_read(addr, value);
+        }
+        if let Some(h) = &mut self.hb {
+            h.get_mut().tx_access(addr, false);
+        }
+        self.maybe_yield();
+        Ok(value)
+    }
+
+    /// One word of a hardware-transaction run. `settled` is the line the
+    /// run settled last and whether it spilled; a later word of that line
+    /// skips the line work.
+    #[inline]
+    fn hw_load(&mut self, addr: WordAddr, settled: &mut Option<(LineId, bool)>) -> TxResult<u64> {
+        if let Some(cause) = self.aborted {
+            return Err(Abort::new(cause));
+        }
+        let cost = self.machine.config().cost;
+        if self.suspend_depth > 0 {
+            // Suspended-mode load: untracked, conflict-free for us.
+            self.charge(cost.load);
+            if let Some(h) = &mut self.hb {
+                h.get_mut().nontx_read(addr);
+            }
+            return Ok(self.mem.nontx_load(Some(self.slot), addr));
+        }
+        self.charge(cost.load + cost.tx_load_extra);
+        if let Some(cause) = self.injected_access_fault() {
+            return self.fail(cause);
+        }
+        if let Some(&v) = self.write_buf.get(&addr) {
+            self.maybe_yield();
+            return Ok(v); // store-to-load forwarding
+        }
+        if self.spill_mode {
+            if let Some(&v) = self.spill_writes.get(&addr) {
+                self.maybe_yield();
+                return Ok(v); // forwarding from the spilled side log
+            }
+        }
+        let line = self.mem.line_of(addr);
+        let line_spilled = match *settled {
+            Some((l, spilled)) if l == line => {
+                self.charge_constrained_access(addr);
+                spilled
+            }
+            _ => {
+                let spilled = self.settle_load_line(line, addr)?;
+                *settled = Some((line, spilled));
+                spilled
+            }
+        };
+        let value = if line_spilled {
+            // Spilled line: the read is untracked by the TMCAM, so it is
+            // value-logged on the software snapshot and revalidated under
+            // the sequence lock at commit.
+            self.soft_reads += 1;
+            if self.soft_reads >= STM_MAX_ACCESSES {
+                return self.fail(AbortCause::SpillValidation);
+            }
+            let raw = match self.soft_snapshot_read(addr) {
+                Ok(v) => v,
+                Err(_) => return self.fail(AbortCause::SpillValidation),
+            };
+            self.soft_log.record(addr, raw)
+        } else if self.rot_soft {
+            // ROT tier: the load is untracked by the TMCAM, so it is
+            // value-logged on the software snapshot instead and revalidated
+            // under the sequence lock at commit.
+            self.soft_reads += 1;
+            if self.soft_reads >= STM_MAX_ACCESSES {
+                return self.fail(AbortCause::StmValidation);
+            }
+            let raw = self.soft_snapshot_read(addr)?;
+            self.soft_log.record(addr, raw)
+        } else {
+            self.mem.read_word(addr)
+        };
+        // Opacity: never return a value read after we were doomed.
+        if let Some(cause) = self.mem.doom_cause(self.slot) {
+            return self.fail(cause);
+        }
+        // Plain rollback-only loads are untracked by the hardware, so the
+        // certifier's value check does not apply to them. ROT-tier loads
+        // are software-validated, so it does.
+        if !self.rollback_only || self.rot_soft {
+            if let Some(c) = &mut self.cert {
+                c.get_mut().on_read(addr, value);
+            }
+        }
+        // Sanitizer: buffered until this attempt commits. Rollback-only
+        // loads are still ordered by the transaction's commit, so they
+        // count as transactional reads.
+        if let Some(h) = &mut self.hb {
+            h.get_mut().tx_access(addr, false);
+        }
+        // Yield *after* the access: quantum boundaries must be able to land
+        // while the line is held, or transactions with expensive begins
+        // execute atomically on the host and never conflict.
+        self.maybe_yield();
+        Ok(value)
+    }
+
+    /// The line work of a hardware load of `addr` on `line` (the read-set
+    /// test, the capacity tracker, `tx_read_line` and the prefetcher),
+    /// done once per line of a run. Returns whether the line is spilled to
+    /// the software side log rather than tracked.
+    fn settle_load_line(&mut self, line: LineId, addr: WordAddr) -> TxResult<bool> {
+        let mut line_spilled = self.spill_mode && self.spilled_lines.contains(line);
+        if !line_spilled && !self.rollback_only && !self.read_lines.contains(line) {
+            let already_written = self.write_lines.contains(line);
+            match self.tracker.on_first_load(line, already_written) {
+                Ok(()) => {}
+                // Spill tier: footprint overflow stretches into the software
+                // side log instead of aborting.
+                Err(c) if self.spill_mode && c.is_capacity() => {
+                    self.spill_line(line);
+                    line_spilled = true;
+                }
+                Err(c) => return self.fail(c),
+            }
+            if !line_spilled {
+                if let Err(c) = self.mem.tx_read_line(self.slot, line, self.policy) {
+                    return self.fail(c);
+                }
+                self.read_lines.insert(line);
+                self.charge_constrained_access(addr);
+                self.maybe_prefetch(line)?;
+            }
+        } else {
+            self.charge_constrained_access(addr);
+        }
+        Ok(line_spilled)
     }
 
     /// Transactional store.
@@ -1420,9 +1506,9 @@ impl TxnEngine {
                     return self.fail(cause);
                 }
                 let line = self.mem.line_of(addr);
-                let mut line_spilled = self.spill_mode && self.spilled_lines.contains(&line);
-                if !line_spilled && !self.write_lines.contains(&line) {
-                    let already_read = self.read_lines.contains(&line);
+                let mut line_spilled = self.spill_mode && self.spilled_lines.contains(line);
+                if !line_spilled && !self.write_lines.contains(line) {
+                    let already_read = self.read_lines.contains(line);
                     match self.tracker.on_first_store(line, already_read) {
                         Ok(()) => {}
                         // Spill tier: the overflowing store is buffered in
@@ -1443,7 +1529,7 @@ impl TxnEngine {
                     self.maybe_yield();
                     return Ok(());
                 }
-                if !self.write_lines.contains(&line) {
+                if !self.write_lines.contains(line) {
                     if let Err(c) = self.mem.tx_claim_line(self.slot, line, self.policy) {
                         return self.fail(c);
                     }
@@ -1481,8 +1567,8 @@ impl TxnEngine {
             return Ok(());
         }
         for pf in self.prefetcher.on_access(line).into_iter().flatten() {
-            if !self.read_lines.contains(&pf)
-                && !self.write_lines.contains(&pf)
+            if !self.read_lines.contains(pf)
+                && !self.write_lines.contains(pf)
                 && self.mem.try_read_line_passive(self.slot, pf)
             {
                 if self.tracker.on_first_load(pf, false).is_err() {
@@ -1568,6 +1654,12 @@ impl TxnEngine {
     }
 }
 
+/// The addresses of a run of consecutive words from `addr` on.
+#[inline]
+fn run_from(addr: WordAddr) -> impl Iterator<Item = WordAddr> {
+    (0..).map(move |i| addr.offset(i))
+}
+
 /// Handle through which benchmark code accesses simulated memory inside an
 /// atomic block.
 ///
@@ -1592,7 +1684,23 @@ impl Tx<'_> {
     /// restriction, ...). Propagate with `?`.
     #[inline]
     pub fn load(&mut self, addr: WordAddr) -> TxResult<u64> {
-        self.eng.load(addr)
+        let mut word = [0];
+        self.eng.load_words(addr, &mut word)?;
+        Ok(word[0])
+    }
+
+    /// Transactional load of the `out.len()` consecutive words from `addr`
+    /// on: the same values, simulated cycles and aborts as that many
+    /// [`Tx::load`] calls in address order, with the conflict tracking of
+    /// each line done once instead of once per word.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] at the first word that aborts; `out` then holds
+    /// the words before it and is untouched from it on. Propagate with `?`.
+    #[inline]
+    pub fn load_words(&mut self, addr: WordAddr, out: &mut [u64]) -> TxResult<()> {
+        self.eng.load_words(addr, out)
     }
 
     /// Transactional store of one word.
@@ -1765,6 +1873,13 @@ mod tests {
     use super::*;
     use htm_core::{Geometry, SimAlloc};
     use htm_machine::Platform;
+
+    impl TxnEngine {
+        /// A one-word load, as [`Tx::load`] makes it.
+        fn load(&mut self, addr: WordAddr) -> TxResult<u64> {
+            Tx { eng: self }.load(addr)
+        }
+    }
 
     fn engine(mode: ExecMode) -> TxnEngine {
         engine_on(Platform::IntelCore, mode)
@@ -2068,7 +2183,7 @@ mod tests {
         e.load(WordAddr(0)).unwrap();
         e.load(WordAddr(8)).unwrap();
         let prefetched_line = e.mem.line_of(WordAddr(16));
-        assert!(e.read_lines.contains(&prefetched_line), "prefetched line is monitored");
+        assert!(e.read_lines.contains(prefetched_line), "prefetched line is monitored");
         e.commit_hw().unwrap();
     }
 
@@ -2276,6 +2391,268 @@ mod tests {
             tx.alloc(4)
         };
         assert_eq!(again, addr, "freed block is recycled");
+    }
+
+    #[test]
+    fn intel_prefetch_past_the_arena_end_is_dropped() {
+        // 65 536 words of 64-byte lines: lines 0..8192. Streaming the last
+        // two lines makes the prefetcher ask for lines 8192 and 8193.
+        let mut e = engine(ExecMode::Hardware);
+        e.begin_hw(false, false);
+        e.load(WordAddr(65_520)).unwrap();
+        e.load(WordAddr(65_528)).unwrap();
+        assert_eq!(e.read_lines.iter().collect::<Vec<_>>(), [LineId(8190), LineId(8191)]);
+        e.commit_hw().unwrap();
+    }
+
+    /// Marks the words of `out` a failed load left untouched; never a
+    /// value the run-equivalence engines hold in memory or store.
+    const UNTOUCHED: u64 = u64::MAX;
+
+    /// Everything a sequence of loads leaves behind that a run must
+    /// reproduce exactly.
+    #[derive(Debug, PartialEq)]
+    struct LoadOutcome {
+        values: Vec<u64>,
+        result: Result<(), AbortCause>,
+        failed_at: Option<usize>,
+        now: u64,
+        stats: String,
+        captures: String,
+        read_lines: Vec<LineId>,
+        write_lines: Vec<LineId>,
+        spilled_lines: Vec<LineId>,
+        tracker: (u64, u64),
+        constrained: String,
+    }
+
+    impl LoadOutcome {
+        fn of(
+            e: &TxnEngine,
+            values: Vec<u64>,
+            result: TxResult<()>,
+            failed_at: Option<usize>,
+        ) -> Self {
+            LoadOutcome {
+                values,
+                result: result.map_err(|a| a.cause),
+                failed_at,
+                now: e.clock.now(),
+                stats: format!("{:?}", e.stats),
+                captures: format!(
+                    "{:?} {:?}",
+                    e.cert,
+                    e.hb.as_ref().map(|h| h.borrow().ordered_state())
+                ),
+                read_lines: e.read_lines.iter().collect(),
+                write_lines: e.write_lines.iter().collect(),
+                spilled_lines: e.spilled_lines.iter().collect(),
+                tracker: (e.tracker.load_lines(), e.tracker.store_lines()),
+                constrained: format!("{:?}", e.constrained),
+            }
+        }
+    }
+
+    /// One run-equivalence case: how the engines are built and the state
+    /// they are driven into before the `n` loads from `addr`.
+    struct RunCase {
+        name: &'static str,
+        mode: ExecMode,
+        trace_footprints: bool,
+        faults: crate::faults::FaultPlan,
+        prelude: fn(&mut TxnEngine),
+        addr: u32,
+        n: usize,
+    }
+
+    impl RunCase {
+        fn new(name: &'static str, prelude: fn(&mut TxnEngine), addr: u32, n: usize) -> Self {
+            RunCase {
+                name,
+                mode: ExecMode::Hardware,
+                trace_footprints: false,
+                faults: crate::faults::FaultPlan::none(),
+                prelude,
+                addr,
+                n,
+            }
+        }
+
+        /// An engine over a 65 536-word arena whose word `a` holds `3a + 1`,
+        /// with certifier and sanitizer capture on, driven through the
+        /// prelude.
+        fn engine(&self, p: Platform) -> TxnEngine {
+            let cfg = p.config();
+            let mem = Arc::new(TxMemory::new(1 << 16, Geometry::new(cfg.granularity)));
+            for a in 0..1u32 << 16 {
+                mem.write_word(WordAddr(a), 3 * a as u64 + 1);
+            }
+            let alloc = ThreadAlloc::new(Arc::new(SimAlloc::new(1, 1 << 16)));
+            let mut e = TxnEngine::new(
+                mem,
+                Arc::new(Machine::new(cfg)),
+                alloc,
+                0,
+                1,
+                self.mode,
+                ConflictPolicy::RequesterWins,
+                42,
+                self.trace_footprints,
+                false,
+                FaultState::new(&self.faults, 0),
+            );
+            e.enable_certify();
+            e.enable_sanitize();
+            (self.prelude)(&mut e);
+            e
+        }
+
+        /// The outcomes of one `load_words` run and of `n` one-word loads
+        /// on two identically built engines.
+        fn outcomes(&self, p: Platform) -> (LoadOutcome, LoadOutcome) {
+            let base = WordAddr(self.addr);
+            let mut run = self.engine(p);
+            let mut values = vec![UNTOUCHED; self.n];
+            let result = Tx { eng: &mut run }.load_words(base, &mut values);
+            let failed_at = result.is_err().then(|| values.iter().position(|&v| v == UNTOUCHED));
+            let run = LoadOutcome::of(&run, values, result, failed_at.flatten());
+
+            let mut words = self.engine(p);
+            let mut values = vec![UNTOUCHED; self.n];
+            let mut result = Ok(());
+            let mut failed_at = None;
+            for (i, v) in values.iter_mut().enumerate() {
+                match words.load(base.offset(i as u32)) {
+                    Ok(x) => *v = x,
+                    Err(a) => {
+                        result = Err(a);
+                        failed_at = Some(i);
+                        break;
+                    }
+                }
+            }
+            (run, LoadOutcome::of(&words, values, result, failed_at))
+        }
+    }
+
+    /// Loads the first word of each of 64 POWER8 lines (fills the TMCAM).
+    fn fill_tmcam(e: &mut TxnEngine) {
+        for line in 0..64u32 {
+            e.load(WordAddr(line * 16)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_run_equals_word_by_word_loads() {
+        use crate::faults::FaultPlan;
+        let cases = [
+            RunCase {
+                mode: ExecMode::Sequential,
+                ..RunCase::new("sequential", |e| e.begin_sequential(), 100, 300)
+            },
+            RunCase {
+                trace_footprints: true,
+                ..RunCase::new("irrevocable", |e| e.begin_irrevocable(), 100, 300)
+            },
+            RunCase::new("hardware", |e| e.begin_hw(false, false), 100, 300),
+            RunCase::new(
+                "hardware, forwarding",
+                |e| {
+                    e.begin_hw(false, false);
+                    e.store(WordAddr(104), 7).unwrap();
+                    e.store(WordAddr(117), 8).unwrap();
+                    e.store(WordAddr(160), 9).unwrap();
+                },
+                100,
+                80,
+            ),
+            // 1 500 words from a 128-byte line boundary: 94 POWER8 lines, so
+            // the 65th line overflows the 64-entry TMCAM mid-run.
+            RunCase::new("hardware, over the TMCAM", |e| e.begin_hw(false, false), 2048, 1500),
+            RunCase {
+                faults: FaultPlan::none().transient_abort_per_access(0.004),
+                ..RunCase::new("hardware, access faults", |e| e.begin_hw(false, false), 100, 1500)
+            },
+            RunCase::new(
+                "software",
+                |e| {
+                    e.begin_soft();
+                    e.store(WordAddr(130), 5).unwrap();
+                },
+                100,
+                300,
+            ),
+        ];
+        let power8_cases = [
+            RunCase::new("rollback-only", |e| e.begin_hw(true, false), 2048, 1500),
+            RunCase::new(
+                "rot",
+                |e| {
+                    e.begin_rot();
+                    e.store(WordAddr(130), 5).unwrap();
+                },
+                100,
+                300,
+            ),
+            RunCase::new(
+                "suspended",
+                |e| {
+                    e.begin_hw(false, false);
+                    e.load(WordAddr(0)).unwrap();
+                    e.suspend().unwrap();
+                },
+                100,
+                300,
+            ),
+            // The TMCAM is full before the run, and one spilled store sits
+            // inside it: every line of the run spills, and one word
+            // forwards from the side log.
+            RunCase::new(
+                "spill",
+                |e| {
+                    e.begin_spill();
+                    fill_tmcam(e);
+                    e.store(WordAddr(2100), 6).unwrap();
+                },
+                2048,
+                300,
+            ),
+        ];
+        let zec12_cases = [RunCase::new("constrained", |e| e.begin_hw(false, true), 100, 20)];
+        let mut checked = 0;
+        for p in Platform::ALL {
+            let extra: &[RunCase] = match p {
+                Platform::Power8 => &power8_cases,
+                Platform::Zec12 => &zec12_cases,
+                _ => &[],
+            };
+            for case in cases.iter().chain(extra) {
+                let (run, words) = case.outcomes(p);
+                assert_eq!(run, words, "{p:?}, {}", case.name);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 7 * 4 + 4 + 1);
+
+        // The cases reach the paths they are named for.
+        let outcome = |p, name| {
+            let all = cases.iter().chain(&power8_cases).chain(&zec12_cases);
+            all.filter(|c| c.name == name).map(|c| c.outcomes(p).0).next().unwrap()
+        };
+        let tmcam = outcome(Platform::Power8, "hardware, over the TMCAM");
+        assert_eq!((tmcam.result, tmcam.failed_at), (Err(AbortCause::CapacityRead), Some(64 * 16)));
+        let faulted = outcome(Platform::IntelCore, "hardware, access faults");
+        assert_eq!(faulted.result, Err(AbortCause::Restriction));
+        assert!(faulted.failed_at.is_some_and(|i| i > 0), "{:?}", faulted.failed_at);
+        let forwarded = outcome(Platform::IntelCore, "hardware, forwarding");
+        assert_eq!(&forwarded.values[3..6], [3 * 103 + 1, 7, 3 * 105 + 1]);
+        assert!(outcome(Platform::IntelCore, "hardware").read_lines.len() > 300 / 8, "prefetched");
+        let spill = outcome(Platform::Power8, "spill");
+        assert_eq!((spill.result, spill.values[52]), (Ok(()), 6));
+        assert_eq!(spill.spilled_lines.len(), 300 / 16 + 1);
+        assert_eq!(outcome(Platform::Power8, "rollback-only").tracker, (0, 0));
+        assert_eq!(outcome(Platform::Power8, "suspended").read_lines, [LineId(0)]);
+        assert_eq!(outcome(Platform::IntelCore, "irrevocable").read_lines.len(), 300 / 8 + 1);
     }
 
     #[test]

@@ -118,6 +118,8 @@ struct Router {
     layer: u32,
     dist: Vec<u32>,
     frontier: VecDeque<u32>,
+    /// One grid row of loaded cell values (reused by [`Router::load`]).
+    row_buf: Vec<u64>,
 }
 
 impl Router {
@@ -130,6 +132,7 @@ impl Router {
             layer,
             dist: vec![BLOCKED; (layer * cfg.z) as usize],
             frontier: VecDeque::new(),
+            row_buf: vec![FREE; cfg.x as usize],
         }
     }
 
@@ -158,17 +161,22 @@ impl Router {
         (r - r / (self.cfg.y + 1)) * self.cfg.x + p % self.row
     }
 
-    /// Fills the grid copy from `load(i)` for every grid cell `i`, in index
-    /// order; a cell is open iff it loads as [`FREE`].
-    fn load<E>(&mut self, mut load: impl FnMut(u32) -> Result<u64, E>) -> Result<(), E> {
+    /// Fills the grid copy one grid row at a time, in index order:
+    /// `load_row(i, buf)` fills `buf` with the `x` cells from grid cell `i`
+    /// on. A cell is open iff it loads as [`FREE`].
+    fn load<E>(
+        &mut self,
+        mut load_row: impl FnMut(u32, &mut [u64]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let (x, y) = (self.cfg.x as usize, self.cfg.y as usize);
         let mut i = 0;
         for layer in self.dist.chunks_exact_mut(self.layer as usize) {
             for row in layer.chunks_exact_mut(self.row as usize).take(y) {
-                for d in &mut row[..x] {
-                    *d = if load(i)? == FREE { UNVISITED } else { BLOCKED };
-                    i += 1;
+                load_row(i, &mut self.row_buf)?;
+                for (d, &v) in row[..x].iter_mut().zip(&self.row_buf) {
+                    *d = if v == FREE { UNVISITED } else { BLOCKED };
                 }
+                i += x as u32;
             }
         }
         Ok(())
@@ -277,7 +285,7 @@ impl Workload for Labyrinth {
                 let dst = tx.load(req.offset(REQ_DST))? as u32;
                 // Snapshot the whole grid inside the transaction (STAMP's
                 // grid_copy): the entire grid joins the read set.
-                router.load(|i| tx.load(sh.grid.offset(i)))?;
+                router.load(|i, row| tx.load_words(sh.grid.offset(i), row))?;
                 // Endpoints may have been covered by an earlier path since
                 // the request was generated; such a request is unroutable.
                 let Some(expanded) = router.route(src, dst, &mut path) else {
@@ -489,7 +497,13 @@ mod tests {
             // One router reused across routes, as a worker reuses it.
             let mut router = Router::new(cfg);
             for (src, dst) in pairs {
-                router.load(|i| Ok::<u64, ()>(grid[i as usize])).unwrap();
+                router
+                    .load(|i, row| {
+                        let i = i as usize;
+                        row.copy_from_slice(&grid[i..i + row.len()]);
+                        Ok::<(), ()>(())
+                    })
+                    .unwrap();
                 let got = router.route(src, dst, &mut path).map(|e| (e, path.clone()));
                 let want = reference_route(&cfg, &grid, src, dst);
                 assert_eq!(got, want, "{x}x{y}x{z} grid, {src} -> {dst}");
