@@ -27,7 +27,7 @@ use htm_hytm::{FallbackPolicy, ROT_RETRIES, STM_COMMIT_RETRIES};
 use htm_machine::{BgqMode, Machine, Platform};
 
 use crate::lock::GlobalLock;
-use crate::replay::{AttemptRecord, BlockOutcome, BlockRecord, Turnstile};
+use crate::replay::{AttemptRecord, BlockRecord, Turnstile, TxPath};
 use crate::stats::ThreadStats;
 use crate::tx::{ExecMode, Tx, TxnEngine};
 
@@ -514,31 +514,40 @@ impl ThreadCtx {
         // any speculation starts (covers the degraded and adaptive paths too).
         htm_core::coop::point(htm_core::coop::CoopPoint::BlockStart);
 
-        let cfg = self.eng.machine().config();
-        let is_bgq = cfg.platform == Platform::BlueGeneQ;
-        // Graceful degradation after a watchdog trip: skip speculation
-        // entirely for a while instead of burning attempts a starved thread
-        // has no hope of committing.
-        if self.degraded_left > 0 {
-            self.degraded_left -= 1;
-            let r = self.run_degraded(&mut body);
-            self.record_block(
-                Vec::new(),
-                BlockOutcome::Irrevocable {
-                    order: self.eng.last_commit_seq(),
-                    degraded: true,
-                    trip: false,
-                },
-            );
-            if is_bgq {
-                self.bgq_adapt.record(true);
-            }
-            return r;
-        }
-        if self.fallback == FallbackPolicy::Adaptive {
+        if self.fallback == FallbackPolicy::Adaptive && self.degraded_left == 0 {
             return self.atomic_adaptive(&mut body);
         }
+        let is_bgq = self.eng.machine().config().platform == Platform::BlueGeneQ;
+        let hw_commits = self.eng.stats.hw_commits;
+        let r = if self.degraded_left > 0 {
+            // Graceful degradation after a watchdog trip: skip speculation
+            // entirely for a while instead of burning attempts a starved
+            // thread has no hope of committing.
+            self.degraded_left -= 1;
+            self.irrevocable_block(&mut body, Vec::new(), true, false)
+        } else {
+            self.retry_hw(&mut body, is_bgq)
+        };
+        if is_bgq {
+            // Blue Gene/Q's adaptation counts the blocks that did not commit
+            // in hardware.
+            self.bgq_adapt.record(self.eng.stats.hw_commits == hw_commits);
+        }
+        r
+    }
+
+    /// The Figure-1 retry loop: hardware attempts under the lock, persistent
+    /// and transient retry counters (Blue Gene/Q: its single counter,
+    /// throttled by the adaptation heuristic, with lazy subscription in
+    /// long-running mode), then the configured fallback tier.
+    fn retry_hw<R>(
+        &mut self,
+        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
+        is_bgq: bool,
+    ) -> R {
+        let cfg = self.eng.machine().config();
         let lazy_subscription = is_bgq && cfg.bgq_mode == Some(BgqMode::LongRunning);
+        let reports_persistence = cfg.reports_persistence;
         let mut lock_retries = self.policy.lock_retries;
         let mut persistent_retries = self.policy.persistent_retries;
         let mut transient_retries = self.policy.transient_retries;
@@ -550,110 +559,210 @@ impl ThreadCtx {
         } else {
             self.policy.bgq_retries
         };
-        let reports_persistence = cfg.reports_persistence;
         let mut attempt = 0u32;
-        let mut rec_attempts: Vec<AttemptRecord> = Vec::new();
-
+        let mut rec = Vec::new();
         loop {
             // Figure 1 line 9: wait for the lock (lemming avoidance).
-            let waited = {
-                let cost = self.eng.machine().config().cost;
-                self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost)
-            };
-            self.eng.stats.lock_wait_cycles += waited;
-            if waited > 0 {
+            if self.wait_for_lock() > 0 {
                 // Jitter after a lock wait: all doomed waiters are released
                 // at the same instant, and restarting them in lockstep
                 // recreates the conflict that serialized them.
                 let jitter = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..512u64);
                 self.tick(jitter);
             }
-
             let snap = self.attempt_snapshot();
-            match self.attempt_hw(&mut body, lazy_subscription, false, false) {
+            let cause = match self.attempt(body, TxPath::Hw, lazy_subscription) {
                 Outcome::Committed(r) => {
-                    self.record_block(
-                        rec_attempts,
-                        BlockOutcome::Hw { order: self.eng.last_commit_seq() },
-                    );
-                    if is_bgq {
-                        self.bgq_adapt.record(false);
-                    }
+                    self.finish_block(rec, TxPath::Hw);
                     return r;
                 }
-                Outcome::Aborted(cause) => {
-                    let (category, lock_related) = self.classify_and_record(cause, is_bgq);
-                    self.record_attempt(&mut rec_attempts, snap, cause, category);
-                    let retry = if is_bgq {
-                        consume(&mut bgq_retries)
-                    } else if lock_related {
-                        consume(&mut lock_retries)
-                    } else if reports_persistence && cause.is_capacity() {
-                        consume(&mut persistent_retries)
-                    } else {
-                        consume(&mut transient_retries)
-                    };
-                    if !retry {
-                        let r = self.run_fallback(&mut body, rec_attempts);
-                        if is_bgq {
-                            self.bgq_adapt.record(true);
-                        }
-                        return r;
-                    }
-                    // Randomized exponential backoff between retries
-                    // (Blue Gene/Q's system software and every practical
-                    // retry handler do this); the simulated delay also
-                    // translates into real absence, decorrelating the
-                    // contenders.
-                    attempt += 1;
-                    if self.watchdog.starved(attempt) {
-                        let r = self.watchdog_trip(&mut body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: true,
-                                trip: true,
-                            },
-                        );
-                        if is_bgq {
-                            self.bgq_adapt.record(true);
-                        }
-                        return r;
-                    }
-                    let ceiling = 32u64 << (attempt.min(7) + self.trip_shift);
-                    let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..ceiling);
-                    self.tick(pause);
-                }
+                Outcome::Aborted(cause) => cause,
+            };
+            let (_, lock_related) = self.count_abort(&mut rec, snap, cause, TxPath::Hw, is_bgq);
+            let retry = if is_bgq {
+                consume(&mut bgq_retries)
+            } else if lock_related {
+                consume(&mut lock_retries)
+            } else if reports_persistence && cause.is_capacity() {
+                consume(&mut persistent_retries)
+            } else {
+                consume(&mut transient_retries)
+            };
+            if !retry {
+                return self.run_fallback(body, rec);
+            }
+            // Randomized exponential backoff between retries (Blue Gene/Q's
+            // system software and every practical retry handler do this);
+            // the simulated delay also translates into real absence,
+            // decorrelating the contenders.
+            attempt += 1;
+            if self.watchdog.starved(attempt) {
+                return self.irrevocable_block(body, rec, true, true);
+            }
+            let ceiling = 32u64 << (attempt.min(7) + self.trip_shift);
+            let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..ceiling);
+            self.tick(pause);
+        }
+    }
+
+    /// Runs the fallback tier after the retry counters are exhausted,
+    /// according to the configured [`FallbackPolicy`].
+    fn run_fallback<R>(
+        &mut self,
+        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
+        rec: Vec<AttemptRecord>,
+    ) -> R {
+        match self.effective_fallback() {
+            FallbackPolicy::Lock => self.irrevocable_block(body, rec, false, false),
+            FallbackPolicy::Rot => self.run_soft_block(body, rec, TxPath::Rot),
+            // The adaptive path dispatches tiers itself and never reaches
+            // this point; a direct caller gets the software tier, whose
+            // bounded retries still end at the irrevocable path.
+            FallbackPolicy::Stm | FallbackPolicy::Adaptive => {
+                self.run_soft_block(body, rec, TxPath::Stm)
             }
         }
     }
 
     // ------------------------------------------------------------------
-    // Record/replay plumbing
+    // One attempt, one lock-held commit, one abort account, one record
     // ------------------------------------------------------------------
 
-    /// Snapshot taken before a hardware attempt so an abort can be recorded
-    /// with the workload-RNG draws and allocations its body consumed.
-    /// `None` when not recording (the common case: zero overhead).
-    fn attempt_snapshot(&mut self) -> Option<(u64, u64)> {
-        if self.recorder.is_some() {
-            // Drop allocation entries left over from the previous block's
-            // committed attempt (committed bodies re-execute on replay).
-            let _ = self.eng.take_alloc_log();
-            Some((self.eng.rng_draws(), self.eng.stats.injected_faults))
-        } else {
-            None
+    /// One transactional attempt on `path`: begin, run the body, commit.
+    ///
+    /// Only a plain hardware attempt subscribes to the global lock (before
+    /// the body, or after it under `lazy_subscription`). The software-
+    /// validated paths (STM, ROT, spill) commit under the lock, so their
+    /// own acquisition would doom a subscription; a constrained transaction
+    /// has no fallback to subscribe to.
+    fn attempt<R>(
+        &mut self,
+        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
+        path: TxPath,
+        lazy_subscription: bool,
+    ) -> Outcome<R> {
+        match path {
+            TxPath::Hw => self.eng.begin_hw(false, false),
+            TxPath::Constrained => self.eng.begin_hw(false, true),
+            TxPath::Stm => self.eng.begin_soft(),
+            TxPath::Rot => self.eng.begin_rot(),
+            TxPath::Spill => self.eng.begin_spill(),
+            TxPath::Irrevocable { .. } => unreachable!("irrevocable blocks make no attempts"),
+        }
+        let subscribes = path == TxPath::Hw;
+        let lock_addr = self.lock.addr();
+        let result = (|| -> TxResult<R> {
+            if subscribes && !lazy_subscription {
+                subscribe(&mut self.eng, lock_addr)?;
+            }
+            let r = body(&mut Tx { eng: &mut self.eng })?;
+            if subscribes && lazy_subscription {
+                subscribe(&mut self.eng, lock_addr)?;
+            }
+            Ok(r)
+        })();
+        match result {
+            Ok(r) => {
+                // Model-checker scheduling point: the body ran, the commit
+                // (conflict check + write-back) has not started.
+                htm_core::coop::point(htm_core::coop::CoopPoint::PreCommit);
+                let committed = match path {
+                    TxPath::Hw | TxPath::Constrained => self.eng.commit_hw(),
+                    _ => self.commit_under_lock(path),
+                };
+                match committed {
+                    Ok(()) => Outcome::Committed(r),
+                    Err(cause) => Outcome::Aborted(cause),
+                }
+            }
+            Err(abort) => {
+                self.eng.rollback();
+                Outcome::Aborted(abort.cause)
+            }
         }
     }
 
-    fn record_attempt(
+    /// The commit critical section of the software-validated paths: acquire
+    /// the global lock (the NOrec sequence lock; this dooms subscribed
+    /// hardware transactions), wait out hardware commits already past their
+    /// subscription check, then validate the software read log and write
+    /// back. A ROT or spill commit leaves its own slot out of that wait: it
+    /// *is* mid-commit. Read-only transactions take the lock too: their
+    /// commit point must be ordered against every other commit for the
+    /// serializability certifier.
+    fn commit_under_lock(&mut self, path: TxPath) -> Result<(), AbortCause> {
+        if self.acquire_lock() > 0 {
+            self.eng.stats.fallback_lock_waits += 1;
+        }
+        let stm = path == TxPath::Stm;
+        self.eng.quiesce_committers(!stm);
+        let committed =
+            if stm { self.eng.soft_commit_validated() } else { self.eng.validated_commit_hw() };
+        self.release_lock(stm);
+        committed
+    }
+
+    /// Acquires the global lock, counting the wait (and ordering this
+    /// section after the previous holder's for the race sanitizer).
+    /// Returns the simulated cycles waited.
+    fn acquire_lock(&mut self) -> u64 {
+        let cost = self.eng.machine().config().cost;
+        let tag = self.thread_id() as u64 + 1;
+        let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
+        self.eng.stats.lock_wait_cycles += waited;
+        if let Some(sync) = &self.lock_sync {
+            self.eng.hb_acquire(sync);
+        }
+        waited
+    }
+
+    /// Releases the global lock. `convoy` first holds it for the fault
+    /// plan's injected release delay (irrevocable and STM sections only).
+    fn release_lock(&mut self, convoy: bool) {
+        if convoy {
+            self.eng.clock().tick(self.eng.fault_lock_release_delay());
+        }
+        if let Some(sync) = &self.lock_sync {
+            self.eng.hb_release(sync);
+        }
+        let cost = self.eng.machine().config().cost;
+        self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
+    }
+
+    /// Spins until the global lock is observed free (lemming avoidance),
+    /// counting the wait. Returns the simulated cycles waited.
+    fn wait_for_lock(&mut self) -> u64 {
+        let cost = self.eng.machine().config().cost;
+        let waited = self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost);
+        self.eng.stats.lock_wait_cycles += waited;
+        waited
+    }
+
+    /// Accounts one aborted attempt on `path` and, when recording, appends
+    /// it to `rec` with the workload-RNG draws, injected faults and
+    /// allocations its body consumed since `snap`. Returns the abort's
+    /// Figure-3 category and whether it is lock-related.
+    ///
+    /// A software-validation failure counts in
+    /// [`ThreadStats::stm_validation_aborts`], outside the hardware
+    /// categories. Every STM abort is one, whatever invalidated the read
+    /// log; recording the uniform cause lets replay re-apply the same
+    /// counter.
+    fn count_abort(
         &mut self,
         rec: &mut Vec<AttemptRecord>,
         snap: Option<(u64, u64)>,
         cause: AbortCause,
-        category: AbortCategory,
-    ) {
+        path: TxPath,
+        is_bgq: bool,
+    ) -> (AbortCategory, bool) {
+        let cause = if path == TxPath::Stm { AbortCause::StmValidation } else { cause };
+        let (category, lock_related) = if is_validation(cause) {
+            self.eng.stats.stm_validation_aborts += 1;
+            (AbortCategory::Other, false)
+        } else {
+            self.classify_and_record(cause, is_bgq)
+        };
         if let Some((draws0, faults0)) = snap {
             rec.push(AttemptRecord {
                 cause: cause.encode(),
@@ -663,11 +772,98 @@ impl ThreadCtx {
                 allocs: self.eng.take_alloc_log(),
             });
         }
+        (category, lock_related)
     }
 
-    fn record_block(&mut self, attempts: Vec<AttemptRecord>, outcome: BlockOutcome) {
+    /// Classifies an abort into its Figure-3 category, records it, and
+    /// returns the category plus whether the abort is lock-related (for the
+    /// retry decision).
+    fn classify_and_record(&mut self, cause: AbortCause, is_bgq: bool) -> (AbortCategory, bool) {
+        let lock_held_now = self.lock.is_locked(self.eng.mem());
+        let explicit_lock = cause == AbortCause::Explicit(LOCK_HELD_ABORT);
+        let lock_related = explicit_lock || lock_held_now;
+        let category = if is_bgq {
+            AbortCategory::Unclassified
+        } else if lock_related {
+            AbortCategory::LockConflict
+        } else if cause.is_capacity() {
+            AbortCategory::Capacity
+        } else if cause.is_conflict() {
+            AbortCategory::DataConflict
+        } else {
+            AbortCategory::Other
+        };
+        self.eng.stats.record_abort(category);
+        self.eng.record_conflict_blame(cause);
+        (category, lock_related)
+    }
+
+    /// Records a finished block (record mode only): its aborted attempts
+    /// and the path it committed on, stamped with its commit order.
+    fn finish_block(&mut self, attempts: Vec<AttemptRecord>, path: TxPath) {
         if let Some(rec) = &mut self.recorder {
-            rec.push(BlockRecord { attempts, outcome });
+            rec.push(BlockRecord { attempts, path, order: self.eng.last_commit_seq() });
+        }
+    }
+
+    /// Runs `body` irrevocably under the global lock and records the block.
+    ///
+    /// `trip` is a watchdog trip: it is counted, the thread's backoff
+    /// escalates and the next blocks run degraded. `degraded` accounts the
+    /// block's time and commit to the degradation counters.
+    ///
+    /// An `Err` from the body here is a program bug (irrevocable execution
+    /// cannot abort), but it must not wedge the simulation: the lock is
+    /// released *before* panicking, so sibling workers — and the executor's
+    /// panic recovery — are never left spinning on a dead holder.
+    fn irrevocable_block<R>(
+        &mut self,
+        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
+        attempts: Vec<AttemptRecord>,
+        degraded: bool,
+        trip: bool,
+    ) -> R {
+        if trip {
+            self.eng.stats.watchdog_trips += 1;
+            self.trip_shift = (self.trip_shift + 1).min(self.watchdog.escalation_cap);
+            self.degraded_left = self.watchdog.degraded_blocks;
+        }
+        let start = self.eng.clock().now();
+        self.acquire_lock();
+        self.eng.begin_irrevocable();
+        let r = match body(&mut Tx { eng: &mut self.eng }) {
+            Ok(r) => r,
+            Err(abort) => {
+                self.eng.abandon_irrevocable();
+                self.release_lock(false);
+                panic!("irrevocable execution cannot abort (body returned {abort})");
+            }
+        };
+        self.eng.end_irrevocable();
+        self.release_lock(true);
+        if degraded {
+            self.eng.stats.degraded_cycles += self.eng.clock().now() - start;
+            self.eng.stats.degraded_commits += 1;
+        }
+        self.finish_block(attempts, TxPath::Irrevocable { degraded, trip });
+        r
+    }
+
+    // ------------------------------------------------------------------
+    // Record/replay plumbing
+    // ------------------------------------------------------------------
+
+    /// Snapshot taken before an attempt so an abort can be recorded with
+    /// the workload-RNG draws and allocations its body consumed. `None`
+    /// when not recording (the common case: zero overhead).
+    fn attempt_snapshot(&mut self) -> Option<(u64, u64)> {
+        if self.recorder.is_some() {
+            // Drop allocation entries left over from the previous block's
+            // committed attempt (committed bodies re-execute on replay).
+            let _ = self.eng.take_alloc_log();
+            Some((self.eng.rng_draws(), self.eng.stats.injected_faults))
+        } else {
+            None
         }
     }
 
@@ -700,51 +896,33 @@ impl ThreadCtx {
             }
         }
         let turnstile = self.replayer.as_ref().expect("replayer present").turnstile.clone();
-        turnstile.await_turn(rec.outcome.order());
-        let r = match rec.outcome {
-            BlockOutcome::Hw { .. } => {
-                self.replay_committed(body, |s, b| s.attempt_hw(b, false, false, false))
+        turnstile.await_turn(rec.order);
+        let r = match rec.path {
+            TxPath::Irrevocable { degraded, trip } => {
+                self.irrevocable_block(body, Vec::new(), degraded, trip)
             }
-            BlockOutcome::Constrained { .. } => {
-                self.replay_committed(body, |s, b| s.attempt_constrained(b))
-            }
-            BlockOutcome::Stm { .. } => self.replay_committed(body, |s, b| s.attempt_stm(b)),
-            BlockOutcome::Rot { .. } => self.replay_committed(body, |s, b| s.attempt_rot(b)),
-            BlockOutcome::Spilled { .. } => self.replay_committed(body, |s, b| s.attempt_spill(b)),
-            BlockOutcome::Irrevocable { degraded, trip, .. } => {
-                if trip {
-                    self.eng.stats.watchdog_trips += 1;
-                }
-                if degraded {
-                    self.run_degraded(body)
-                } else {
-                    self.run_irrevocable(body)
-                }
-            }
+            path => self.replay_committed(body, path),
         };
         turnstile.advance();
         r
     }
 
-    /// Executes a block recorded as a transactional commit by running
-    /// `attempt` (the recorded tier's attempt) until it commits. The
-    /// turnstile serializes all replayed blocks, so the attempt cannot
-    /// conflict with another transaction and commits on its recorded path;
-    /// unexpected aborts (e.g. a racing non-transactional store from
-    /// workload code outside any atomic block) are retried with the
-    /// workload RNG restored so the body's draw stream stays identical.
-    fn replay_committed<R, B>(
+    /// Executes a block recorded as a transactional commit on `path` by
+    /// attempting it on that path until it commits. The turnstile
+    /// serializes all replayed blocks, so the attempt cannot conflict with
+    /// another transaction and commits on its recorded path; unexpected
+    /// aborts (e.g. a racing non-transactional store from workload code
+    /// outside any atomic block) are retried with the workload RNG restored
+    /// so the body's draw stream stays identical.
+    fn replay_committed<R>(
         &mut self,
-        body: &mut B,
-        attempt: impl Fn(&mut Self, &mut B) -> Outcome<R>,
-    ) -> R
-    where
-        B: FnMut(&mut Tx<'_>) -> TxResult<R>,
-    {
+        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
+        path: TxPath,
+    ) -> R {
         let mut tries = 0u32;
         loop {
             let saved_rng = self.eng.clone_workload_rng();
-            match attempt(self, body) {
+            match self.attempt(body, path, false) {
                 Outcome::Committed(r) => return r,
                 Outcome::Aborted(cause) => {
                     tries += 1;
@@ -758,340 +936,49 @@ impl ThreadCtx {
         }
     }
 
-    /// One hardware attempt: begin, (optionally) subscribe to the lock, run
-    /// the body, (lazily) subscribe, commit.
-    fn attempt_hw<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        lazy_subscription: bool,
-        rollback_only: bool,
-        constrained: bool,
-    ) -> Outcome<R> {
-        self.eng.begin_hw(rollback_only, constrained);
-        let lock_addr = self.lock.addr();
-        let result = (|| -> TxResult<R> {
-            if !lazy_subscription {
-                subscribe(&mut self.eng, lock_addr)?;
-            }
-            let r = body(&mut Tx { eng: &mut self.eng })?;
-            if lazy_subscription {
-                subscribe(&mut self.eng, lock_addr)?;
-            }
-            Ok(r)
-        })();
-        match result {
-            Ok(r) => {
-                // Model-checker scheduling point: the body ran, the commit
-                // (conflict check + write-back) has not started.
-                htm_core::coop::point(htm_core::coop::CoopPoint::PreCommit);
-                match self.eng.commit_hw() {
-                    Ok(()) => Outcome::Committed(r),
-                    Err(cause) => Outcome::Aborted(cause),
-                }
-            }
-            Err(abort) => {
-                self.eng.rollback_hw();
-                Outcome::Aborted(abort.cause)
-            }
-        }
-    }
-
-    /// Classifies an abort into its Figure-3 category, records it, and
-    /// returns the category plus whether the abort is lock-related (for the
-    /// retry decision).
-    fn classify_and_record(&mut self, cause: AbortCause, is_bgq: bool) -> (AbortCategory, bool) {
-        let lock_held_now = self.lock.is_locked(self.eng.mem());
-        let explicit_lock = cause == AbortCause::Explicit(LOCK_HELD_ABORT);
-        let lock_related = explicit_lock || lock_held_now;
-        let category = if is_bgq {
-            AbortCategory::Unclassified
-        } else if lock_related {
-            AbortCategory::LockConflict
-        } else if cause.is_capacity() {
-            AbortCategory::Capacity
-        } else if cause.is_conflict() {
-            AbortCategory::DataConflict
-        } else {
-            AbortCategory::Other
-        };
-        self.eng.stats.record_abort(category);
-        self.eng.record_conflict_blame(cause);
-        (category, lock_related)
-    }
-
-    /// The fallback path: acquire the global lock and run irrevocably.
-    ///
-    /// An `Err` from the body here is a program bug (irrevocable execution
-    /// cannot abort), but it must not wedge the simulation: the lock is
-    /// released *before* panicking, so sibling workers — and the executor's
-    /// panic recovery — are never left spinning on a dead holder.
-    fn run_irrevocable<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
-        let cost = self.eng.machine().config().cost;
-        let tag = self.thread_id() as u64 + 1;
-        let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
-        self.eng.stats.lock_wait_cycles += waited;
-        if let Some(sync) = &self.lock_sync {
-            self.eng.hb_acquire(sync);
-        }
-        self.eng.begin_irrevocable();
-        match body(&mut Tx { eng: &mut self.eng }) {
-            Ok(r) => {
-                self.eng.end_irrevocable();
-                let delay = self.eng.fault_lock_release_delay();
-                if delay > 0 {
-                    // Injected convoy: hold the lock past the body's end.
-                    self.eng.clock().tick(delay);
-                }
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_release(sync);
-                }
-                self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
-                r
-            }
-            Err(abort) => {
-                self.eng.abandon_irrevocable();
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_release(sync);
-                }
-                self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
-                panic!("irrevocable execution cannot abort (body returned {abort})");
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Hybrid-TM fallback tiers (htm-hytm)
     // ------------------------------------------------------------------
 
-    /// Runs the fallback tier after the retry counters are exhausted,
-    /// according to the configured [`FallbackPolicy`].
-    fn run_fallback<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        rec_attempts: Vec<AttemptRecord>,
-    ) -> R {
-        match self.effective_fallback() {
-            FallbackPolicy::Stm => self.run_stm_block(body, rec_attempts),
-            FallbackPolicy::Rot => self.run_rot_block(body, rec_attempts),
-            // The adaptive path dispatches tiers itself and never reaches
-            // this point; a direct caller gets the software tier, whose
-            // bounded retries still end at the irrevocable path.
-            FallbackPolicy::Adaptive => self.run_stm_block(body, rec_attempts),
-            FallbackPolicy::Lock => {
-                let r = self.run_irrevocable(body);
-                self.record_block(
-                    rec_attempts,
-                    BlockOutcome::Irrevocable {
-                        order: self.eng.last_commit_seq(),
-                        degraded: false,
-                        trip: false,
-                    },
-                );
-                r
-            }
-        }
-    }
-
-    /// NOrec-style software fallback: the body runs instrumented (buffered
-    /// writes, value-logged reads), and commits under a brief critical
-    /// section on the global lock. Concurrent hardware transactions stay
-    /// live the whole time — the lock acquisition at commit dooms the
-    /// subscribed ones, exactly as an irrevocable section would, but only
-    /// for the duration of validation plus write-back.
+    /// The software-validated fallback tiers, `path` being
+    /// [`TxPath::Stm`] or [`TxPath::Rot`]. Concurrent hardware
+    /// transactions stay live the whole time: the lock acquisition at
+    /// commit dooms the subscribed ones, exactly as an irrevocable section
+    /// would, but only for the duration of validation plus write-back.
     ///
-    /// A validation failure costs one software attempt; after
-    /// [`STM_COMMIT_RETRIES`] of those the block degrades to the
+    /// - STM (NOrec-style): the body runs instrumented (buffered writes,
+    ///   value-logged reads).
+    /// - ROT (POWER8 rollback-only): stores go through the TMCAM (hardware
+    ///   write buffering, writes-only capacity); loads are untracked and
+    ///   value-logged, since rollback-only transactions detect no load
+    ///   conflicts.
+    ///
+    /// A failed attempt costs one retry; after [`STM_COMMIT_RETRIES`] (STM)
+    /// or [`ROT_RETRIES`] (ROT) of those the block degrades to the
     /// irrevocable path, so progress is never worse than the lock fallback.
-    fn run_stm_block<R>(
+    fn run_soft_block<R>(
         &mut self,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        mut rec_attempts: Vec<AttemptRecord>,
+        mut rec: Vec<AttemptRecord>,
+        path: TxPath,
     ) -> R {
-        let mut stm_retries = STM_COMMIT_RETRIES;
+        let mut retries = if path == TxPath::Stm { STM_COMMIT_RETRIES } else { ROT_RETRIES };
         loop {
-            let waited = {
-                let cost = self.eng.machine().config().cost;
-                self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost)
-            };
-            self.eng.stats.lock_wait_cycles += waited;
+            self.wait_for_lock();
             let snap = self.attempt_snapshot();
-            match self.attempt_stm(body) {
+            match self.attempt(body, path, false) {
                 Outcome::Committed(r) => {
-                    self.record_block(
-                        rec_attempts,
-                        BlockOutcome::Stm { order: self.eng.last_commit_seq() },
-                    );
-                    return r;
-                }
-                Outcome::Aborted(_) => {
-                    // Every software abort surfaces as a validation failure
-                    // (the cause is uniform regardless of what invalidated
-                    // the read log), counted separately from the hardware
-                    // abort categories. Recording the uniform cause lets
-                    // replay re-apply the same counter.
-                    self.eng.stats.stm_validation_aborts += 1;
-                    self.record_attempt(
-                        &mut rec_attempts,
-                        snap,
-                        AbortCause::StmValidation,
-                        AbortCategory::Other,
-                    );
-                    if !consume(&mut stm_retries) {
-                        let r = self.run_irrevocable(body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: false,
-                                trip: false,
-                            },
-                        );
-                        return r;
-                    }
-                    let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..256u64);
-                    self.tick(pause);
-                }
-            }
-        }
-    }
-
-    /// One software attempt: instrumented execution, then commit under the
-    /// sequence lock.
-    fn attempt_stm<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> Outcome<R> {
-        self.eng.begin_soft();
-        match body(&mut Tx { eng: &mut self.eng }) {
-            Ok(r) => {
-                htm_core::coop::point(htm_core::coop::CoopPoint::PreCommit);
-                match self.commit_stm() {
-                    Ok(()) => Outcome::Committed(r),
-                    Err(cause) => Outcome::Aborted(cause),
-                }
-            }
-            Err(abort) => {
-                self.eng.rollback_soft();
-                Outcome::Aborted(abort.cause)
-            }
-        }
-    }
-
-    /// The software-commit critical section: acquire the global lock (the
-    /// NOrec sequence lock — this dooms subscribed hardware transactions),
-    /// wait out hardware commits already past their subscription check, then
-    /// validate and write back. Read-only transactions take the lock too:
-    /// their commit point must be ordered against every other commit for the
-    /// serializability certifier.
-    fn commit_stm(&mut self) -> Result<(), AbortCause> {
-        let cost = self.eng.machine().config().cost;
-        let tag = self.thread_id() as u64 + 1;
-        let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
-        self.eng.stats.lock_wait_cycles += waited;
-        if waited > 0 {
-            self.eng.stats.fallback_lock_waits += 1;
-        }
-        if let Some(sync) = &self.lock_sync {
-            self.eng.hb_acquire(sync);
-        }
-        self.eng.quiesce_committers(false);
-        let r = self.eng.soft_commit_validated();
-        let delay = self.eng.fault_lock_release_delay();
-        if delay > 0 {
-            self.eng.clock().tick(delay);
-        }
-        if let Some(sync) = &self.lock_sync {
-            self.eng.hb_release(sync);
-        }
-        self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
-        r
-    }
-
-    /// POWER8 rollback-only fallback tier: stores go through the TMCAM
-    /// (hardware write buffering, writes-only capacity), loads are untracked
-    /// and value-logged in software. The commit validates the read log under
-    /// the global lock — rollback-only transactions detect no load
-    /// conflicts, so software validation stands in, NOrec-style. ROT
-    /// attempts do *not* subscribe to the lock: their own commit-time lock
-    /// acquisition would doom them.
-    fn run_rot_block<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        mut rec_attempts: Vec<AttemptRecord>,
-    ) -> R {
-        let mut rot_retries = ROT_RETRIES;
-        loop {
-            let waited = {
-                let cost = self.eng.machine().config().cost;
-                self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost)
-            };
-            self.eng.stats.lock_wait_cycles += waited;
-            let snap = self.attempt_snapshot();
-            match self.attempt_rot(body) {
-                Outcome::Committed(r) => {
-                    self.record_block(
-                        rec_attempts,
-                        BlockOutcome::Rot { order: self.eng.last_commit_seq() },
-                    );
+                    self.finish_block(rec, path);
                     return r;
                 }
                 Outcome::Aborted(cause) => {
-                    let category = if cause == AbortCause::StmValidation {
-                        self.eng.stats.stm_validation_aborts += 1;
-                        AbortCategory::Other
-                    } else {
-                        self.classify_and_record(cause, false).0
-                    };
-                    self.record_attempt(&mut rec_attempts, snap, cause, category);
-                    if !consume(&mut rot_retries) {
-                        let r = self.run_irrevocable(body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: false,
-                                trip: false,
-                            },
-                        );
-                        return r;
+                    self.count_abort(&mut rec, snap, cause, path, false);
+                    if !consume(&mut retries) {
+                        return self.irrevocable_block(body, rec, false, false);
                     }
                     let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..256u64);
                     self.tick(pause);
                 }
-            }
-        }
-    }
-
-    /// One rollback-only attempt: hardware-buffered stores, value-logged
-    /// loads, commit under the lock after software validation. The commit
-    /// excludes this engine's own slot from the committer quiesce — it *is*
-    /// mid-commit.
-    fn attempt_rot<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> Outcome<R> {
-        self.eng.begin_rot();
-        match body(&mut Tx { eng: &mut self.eng }) {
-            Ok(r) => {
-                htm_core::coop::point(htm_core::coop::CoopPoint::PreCommit);
-                let cost = self.eng.machine().config().cost;
-                let tag = self.thread_id() as u64 + 1;
-                let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
-                self.eng.stats.lock_wait_cycles += waited;
-                if waited > 0 {
-                    self.eng.stats.fallback_lock_waits += 1;
-                }
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_acquire(sync);
-                }
-                self.eng.quiesce_committers(true);
-                let committed = self.eng.rot_commit_under_lock();
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_release(sync);
-                }
-                self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
-                match committed {
-                    Ok(()) => Outcome::Committed(r),
-                    Err(cause) => Outcome::Aborted(cause),
-                }
-            }
-            Err(abort) => {
-                self.eng.rollback_hw();
-                Outcome::Aborted(abort.cause)
             }
         }
     }
@@ -1111,22 +998,11 @@ impl ThreadCtx {
         let stm0 = self.eng.stats.stm_commits;
         let irrevocable0 = self.eng.stats.irrevocable_commits;
         let r = match tier {
-            Tier::Hw => self.run_adaptive_hw(body, false),
-            Tier::Spill => self.run_adaptive_hw(body, true),
-            Tier::Rot => self.run_rot_block(body, Vec::new()),
-            Tier::Stm => self.run_stm_block(body, Vec::new()),
-            Tier::Lock => {
-                let r = self.run_irrevocable(body);
-                self.record_block(
-                    Vec::new(),
-                    BlockOutcome::Irrevocable {
-                        order: self.eng.last_commit_seq(),
-                        degraded: false,
-                        trip: false,
-                    },
-                );
-                r
-            }
+            Tier::Hw => self.run_adaptive_hw(body, TxPath::Hw),
+            Tier::Spill => self.run_adaptive_hw(body, TxPath::Spill),
+            Tier::Rot => self.run_soft_block(body, Vec::new(), TxPath::Rot),
+            Tier::Stm => self.run_soft_block(body, Vec::new(), TxPath::Stm),
+            Tier::Lock => self.irrevocable_block(body, Vec::new(), false, false),
         };
         if let Some(adapt) = &mut self.adapt {
             let aborts = self.eng.stats.aborts;
@@ -1162,16 +1038,16 @@ impl ThreadCtx {
     }
 
     /// The adaptive hardware tier: the Figure-1 retry loop under the
-    /// contention manager's *capped* randomized backoff. `spill` starts
-    /// attempts in capacity-spill mode (POWER8); a capacity abort of a plain
-    /// hardware attempt escalates to spill mode mid-block when the platform
-    /// supports it, so a capacity-doomed block degrades to partial-hardware
-    /// execution instead of burning its remaining retries on a footprint
-    /// that can never fit.
+    /// contention manager's *capped* randomized backoff, starting on `path`
+    /// ([`TxPath::Hw`], or [`TxPath::Spill`] for capacity-spill mode on
+    /// POWER8). A capacity abort of a plain hardware attempt escalates to
+    /// spill mode mid-block when the platform supports it, so a
+    /// capacity-doomed block degrades to partial-hardware execution instead
+    /// of burning its remaining retries on a footprint that can never fit.
     fn run_adaptive_hw<R>(
         &mut self,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        mut spill: bool,
+        mut path: TxPath,
     ) -> R {
         let cfg = self.eng.machine().config();
         let has_spill = cfg.has_suspend_resume;
@@ -1180,153 +1056,60 @@ impl ThreadCtx {
         let mut persistent_retries = self.policy.persistent_retries;
         let mut transient_retries = self.policy.transient_retries;
         let mut attempt = 0u32;
-        let mut rec_attempts: Vec<AttemptRecord> = Vec::new();
+        let mut rec = Vec::new();
         loop {
-            let waited = {
-                let cost = self.eng.machine().config().cost;
-                self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost)
-            };
-            self.eng.stats.lock_wait_cycles += waited;
-            if waited > 0 {
+            if self.wait_for_lock() > 0 {
                 let jitter = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..512u64);
                 self.tick(jitter);
             }
             let snap = self.attempt_snapshot();
-            let out = if spill {
-                self.attempt_spill(body)
-            } else {
-                self.attempt_hw(body, false, false, false)
-            };
-            match out {
+            let cause = match self.attempt(body, path, false) {
                 Outcome::Committed(r) => {
-                    let order = self.eng.last_commit_seq();
-                    let outcome = if spill {
-                        BlockOutcome::Spilled { order }
-                    } else {
-                        BlockOutcome::Hw { order }
-                    };
-                    self.record_block(rec_attempts, outcome);
+                    self.finish_block(rec, path);
                     return r;
                 }
-                Outcome::Aborted(cause) => {
-                    let (category, lock_related) = if cause == AbortCause::SpillValidation {
-                        self.eng.stats.stm_validation_aborts += 1;
-                        (AbortCategory::Other, false)
-                    } else {
-                        self.classify_and_record(cause, false)
-                    };
-                    self.record_attempt(&mut rec_attempts, snap, cause, category);
-                    if !spill && has_spill && cause.is_capacity() {
-                        spill = true;
-                    }
-                    let retry = if lock_related {
-                        consume(&mut lock_retries)
-                    } else if reports_persistence && cause.is_capacity() {
-                        consume(&mut persistent_retries)
-                    } else {
-                        consume(&mut transient_retries)
-                    };
-                    if !retry {
-                        // Within-block escalation always lands on a
-                        // terminating software tier.
-                        return self.run_stm_block(body, rec_attempts);
-                    }
-                    // Backoff de-synchronizes *contending* threads; an
-                    // injected fault or a capacity overflow is not
-                    // contention, and pausing for it only burns cycles.
-                    // Unclassified aborts (Blue Gene/Q hides causes) get
-                    // the pause too — contention cannot be ruled out.
-                    let contention = lock_related
-                        || matches!(
-                            category,
-                            AbortCategory::DataConflict | AbortCategory::Unclassified
-                        );
-                    attempt += 1;
-                    if self.watchdog.starved(attempt) {
-                        self.eng.stats.adapt_starvation_rescues += 1;
-                        if let Some(adapt) = &mut self.adapt {
-                            adapt.starvation_rescue();
-                        }
-                        let r = self.watchdog_trip(body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: true,
-                                trip: true,
-                            },
-                        );
-                        return r;
-                    }
-                    if contention {
-                        let ceiling = AdaptiveController::backoff_ceiling(attempt, self.trip_shift);
-                        let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..ceiling);
-                        self.eng.stats.backoff_cycles += pause;
-                        self.tick(pause);
-                    }
+                Outcome::Aborted(cause) => cause,
+            };
+            let (category, lock_related) = self.count_abort(&mut rec, snap, cause, path, false);
+            if path == TxPath::Hw && has_spill && cause.is_capacity() {
+                path = TxPath::Spill;
+            }
+            let retry = if lock_related {
+                consume(&mut lock_retries)
+            } else if reports_persistence && cause.is_capacity() {
+                consume(&mut persistent_retries)
+            } else {
+                consume(&mut transient_retries)
+            };
+            if !retry {
+                // Within-block escalation always lands on a terminating
+                // software tier.
+                return self.run_soft_block(body, rec, TxPath::Stm);
+            }
+            // Backoff de-synchronizes *contending* threads; an injected
+            // fault or a capacity overflow is not contention, and pausing
+            // for it only burns cycles. This loop classifies aborts with
+            // their causes on every platform, Blue Gene/Q included (whose
+            // hardware reports none), so `Unclassified` never reaches this
+            // test today; it would get the pause, since contention cannot
+            // be ruled out.
+            let contention = lock_related
+                || matches!(category, AbortCategory::DataConflict | AbortCategory::Unclassified);
+            attempt += 1;
+            if self.watchdog.starved(attempt) {
+                self.eng.stats.adapt_starvation_rescues += 1;
+                if let Some(adapt) = &mut self.adapt {
+                    adapt.starvation_rescue();
                 }
+                return self.irrevocable_block(body, rec, true, true);
+            }
+            if contention {
+                let ceiling = AdaptiveController::backoff_ceiling(attempt, self.trip_shift);
+                let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..ceiling);
+                self.eng.stats.backoff_cycles += pause;
+                self.tick(pause);
             }
         }
-    }
-
-    /// One capacity-spilling attempt (POWER8): a hardware transaction whose
-    /// TMCAM-overflow lines spill into a software-validated side log instead
-    /// of aborting. Spill attempts do *not* subscribe to the lock — like
-    /// ROT, their own commit-time acquisition would doom them; the side log
-    /// is validated under the lock instead.
-    fn attempt_spill<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> Outcome<R> {
-        self.eng.begin_spill();
-        match body(&mut Tx { eng: &mut self.eng }) {
-            Ok(r) => {
-                htm_core::coop::point(htm_core::coop::CoopPoint::PreCommit);
-                let cost = self.eng.machine().config().cost;
-                let tag = self.thread_id() as u64 + 1;
-                let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
-                self.eng.stats.lock_wait_cycles += waited;
-                if waited > 0 {
-                    self.eng.stats.fallback_lock_waits += 1;
-                }
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_acquire(sync);
-                }
-                self.eng.quiesce_committers(true);
-                let committed = self.eng.spill_commit_under_lock();
-                if let Some(sync) = &self.lock_sync {
-                    self.eng.hb_release(sync);
-                }
-                self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
-                match committed {
-                    Ok(()) => Outcome::Committed(r),
-                    Err(cause) => Outcome::Aborted(cause),
-                }
-            }
-            Err(abort) => {
-                self.eng.rollback_hw();
-                Outcome::Aborted(abort.cause)
-            }
-        }
-    }
-
-    /// A watchdog trip: record it, escalate backoff, enter degraded mode and
-    /// run the starved block irrevocably.
-    fn watchdog_trip<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
-        self.eng.stats.watchdog_trips += 1;
-        self.trip_shift = (self.trip_shift + 1).min(self.watchdog.escalation_cap);
-        self.degraded_left = self.watchdog.degraded_blocks;
-        self.run_degraded(body)
-    }
-
-    /// Runs one block in degraded mode (irrevocably), accounting the time
-    /// and the commit to the degradation counters.
-    fn run_degraded<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
-        let start = self.eng.clock().now();
-        let r = self.run_irrevocable(body);
-        self.eng.stats.degraded_cycles += self.eng.clock().now() - start;
-        self.eng.stats.degraded_commits += 1;
-        r
     }
 
     /// Rolls back any in-flight transaction and force-releases the global
@@ -1365,71 +1148,37 @@ impl ThreadCtx {
         }
         if self.degraded_left > 0 {
             self.degraded_left -= 1;
-            let r = self.run_degraded(&mut body);
-            self.record_block(
-                Vec::new(),
-                BlockOutcome::Irrevocable {
-                    order: self.eng.last_commit_seq(),
-                    degraded: true,
-                    trip: false,
-                },
-            );
-            return r;
+            return self.irrevocable_block(&mut body, Vec::new(), true, false);
         }
         // Lock-busy aborts re-elide after the lock frees (as the standard
         // elision runtimes do); only a *data* abort re-executes with the
         // lock held. Without this, one fallback dooms every elided peer,
         // whose fallbacks doom the next wave — a permanent convoy.
         let mut attempts = 0u32;
-        let mut rec_attempts: Vec<AttemptRecord> = Vec::new();
+        let mut rec = Vec::new();
         loop {
-            let cost = self.eng.machine().config().cost;
-            let waited = self.lock.wait_released(self.eng.mem(), self.eng.clock(), &cost);
-            self.eng.stats.lock_wait_cycles += waited;
+            self.wait_for_lock();
             let snap = self.attempt_snapshot();
-            match self.attempt_hw(&mut body, false, false, false) {
+            let cause = match self.attempt(&mut body, TxPath::Hw, false) {
                 Outcome::Committed(r) => {
-                    self.record_block(
-                        rec_attempts,
-                        BlockOutcome::Hw { order: self.eng.last_commit_seq() },
-                    );
+                    self.finish_block(rec, TxPath::Hw);
                     return r;
                 }
-                Outcome::Aborted(cause) => {
-                    let (category, lock_related) = self.classify_and_record(cause, false);
-                    self.record_attempt(&mut rec_attempts, snap, cause, category);
-                    // Non-transactional conflicts come from a peer's
-                    // irrevocable section (the convoy), not from program
-                    // data: re-elide those too.
-                    if !lock_related && cause != AbortCause::ConflictNonTx {
-                        let r = self.run_irrevocable(&mut body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: false,
-                                trip: false,
-                            },
-                        );
-                        return r;
-                    }
-                    attempts += 1;
-                    if self.watchdog.starved(attempts) {
-                        // The re-elide loop has no retry counter of its own,
-                        // so under an injected abort storm the watchdog is
-                        // its only exit.
-                        let r = self.watchdog_trip(&mut body);
-                        self.record_block(
-                            rec_attempts,
-                            BlockOutcome::Irrevocable {
-                                order: self.eng.last_commit_seq(),
-                                degraded: true,
-                                trip: true,
-                            },
-                        );
-                        return r;
-                    }
-                }
+                Outcome::Aborted(cause) => cause,
+            };
+            let (_, lock_related) = self.count_abort(&mut rec, snap, cause, TxPath::Hw, false);
+            // Non-transactional conflicts come from a peer's irrevocable
+            // section (the convoy), not from program data: re-elide those
+            // too.
+            if !lock_related && cause != AbortCause::ConflictNonTx {
+                return self.irrevocable_block(&mut body, rec, false, false);
+            }
+            attempts += 1;
+            if self.watchdog.starved(attempts) {
+                // The re-elide loop has no retry counter of its own, so
+                // under an injected abort storm the watchdog is its only
+                // exit.
+                return self.irrevocable_block(&mut body, rec, true, true);
             }
         }
     }
@@ -1461,7 +1210,7 @@ impl ThreadCtx {
             return self.replay_block(&mut body);
         }
         let mut attempts = 0u32;
-        let mut rec_attempts: Vec<AttemptRecord> = Vec::new();
+        let mut rec = Vec::new();
         loop {
             let escalated = attempts >= 4;
             let _token = escalated.then(|| self.constrained_arbiter.clone());
@@ -1470,49 +1219,25 @@ impl ThreadCtx {
             // and is safely discarded.
             let _guard = _token.as_ref().map(|t| t.lock().unwrap_or_else(|p| p.into_inner()));
             let snap = self.attempt_snapshot();
-            match self.attempt_constrained(&mut body) {
+            let cause = match self.attempt(&mut body, TxPath::Constrained, false) {
                 Outcome::Committed(r) => {
-                    self.record_block(
-                        rec_attempts,
-                        BlockOutcome::Constrained { order: self.eng.last_commit_seq() },
-                    );
+                    self.finish_block(rec, TxPath::Constrained);
                     return r;
                 }
-                Outcome::Aborted(cause) => {
-                    let (category, _) = self.classify_and_record(cause, false);
-                    self.record_attempt(&mut rec_attempts, snap, cause, category);
-                    attempts += 1;
-                    if self.watchdog.starved(attempts) && attempts == self.watchdog.starvation_bound
-                    {
-                        // Constrained transactions have no fallback to
-                        // degrade to (the architecture forbids one); record
-                        // the starvation so diagnostics can see it even
-                        // though the loop must keep going.
-                        self.eng.stats.watchdog_trips += 1;
-                    }
-                    // Hardware-style exponential backoff.
-                    let cost = self.eng.machine().config().cost;
-                    self.eng.clock().tick(cost.spin_poll << attempts.min(5));
-                }
+                Outcome::Aborted(cause) => cause,
+            };
+            self.count_abort(&mut rec, snap, cause, TxPath::Constrained, false);
+            attempts += 1;
+            if self.watchdog.starved(attempts) && attempts == self.watchdog.starvation_bound {
+                // Constrained transactions have no fallback to degrade to
+                // (the architecture forbids one); record the starvation so
+                // diagnostics can see it even though the loop must keep
+                // going.
+                self.eng.stats.watchdog_trips += 1;
             }
-        }
-    }
-
-    fn attempt_constrained<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-    ) -> Outcome<R> {
-        self.eng.begin_hw(false, true);
-        let result = body(&mut Tx { eng: &mut self.eng });
-        match result {
-            Ok(r) => match self.eng.commit_hw() {
-                Ok(()) => Outcome::Committed(r),
-                Err(cause) => Outcome::Aborted(cause),
-            },
-            Err(abort) => {
-                self.eng.rollback_hw();
-                Outcome::Aborted(abort.cause)
-            }
+            // Hardware-style exponential backoff.
+            let cost = self.eng.machine().config().cost;
+            self.eng.clock().tick(cost.spin_poll << attempts.min(5));
         }
     }
 
@@ -1598,6 +1323,12 @@ fn subscribe(eng: &mut TxnEngine, lock_addr: WordAddr) -> TxResult<()> {
         return eng.user_abort(LOCK_HELD_ABORT);
     }
     Ok(())
+}
+
+/// Whether `cause` is a software-validation failure (STM, ROT or spill
+/// read log), counted outside the Figure-3 hardware categories.
+fn is_validation(cause: AbortCause) -> bool {
+    matches!(cause, AbortCause::StmValidation | AbortCause::SpillValidation)
 }
 
 /// Builds the adaptive controller for [`FallbackPolicy::Adaptive`] (`None`

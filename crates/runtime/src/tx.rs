@@ -875,38 +875,6 @@ impl TxnEngine {
         self.soft_epoch_seen = self.wait_epoch_even();
     }
 
-    /// Commits a ROT-tier transaction. The caller holds the sequence lock
-    /// and has quiesced other committers: the read log is revalidated in
-    /// software (restoring the serializability the untracked loads lost),
-    /// then the hardware commit publishes the tracked stores.
-    ///
-    /// # Errors
-    ///
-    /// Returns the abort cause — and has already rolled back — on a failed
-    /// validation or a hardware doom.
-    pub(crate) fn rot_commit_under_lock(&mut self) -> Result<(), AbortCause> {
-        assert!(self.rot_soft, "rot commit outside a ROT-tier transaction");
-        // Seeded bug #3 (model-checker regression corpus): publishing the
-        // write buffer before validation bypasses both conflict detection
-        // (plain stores doom nobody) and the epoch, so a failed validation
-        // leaves dirty never-committed values in the arena.
-        if self.mem.test_early_rot_publish() && self.aborted.is_none() {
-            for (&addr, &value) in &self.write_buf {
-                self.mem.write_word(addr, value);
-            }
-        }
-        if self.aborted.is_none() {
-            self.charge(
-                hytm_cost::ROT_COMMIT_OVERHEAD
-                    + hytm_cost::STM_VALIDATE_PER_WORD * self.soft_log.len() as u64,
-            );
-            if self.soft_log.validate(|a| self.mem.read_word(a)).is_some() {
-                self.aborted = Some(AbortCause::StmValidation);
-            }
-        }
-        self.commit_hw()
-    }
-
     /// Begins a capacity-stretched (spill-tier) hardware transaction:
     /// a full POWER8 transaction whose footprint overflow past the TMCAM
     /// spills into the software-validated side log instead of aborting
@@ -925,7 +893,7 @@ impl TxnEngine {
 
     /// Whether the current spill-tier attempt actually overflowed into the
     /// side log (decides the commit's validation work and cert path).
-    pub(crate) fn has_spilled(&self) -> bool {
+    fn has_spilled(&self) -> bool {
         !self.spilled_lines.is_empty()
     }
 
@@ -938,25 +906,41 @@ impl TxnEngine {
         }
     }
 
-    /// Commits a spill-tier transaction. The caller holds the sequence
-    /// lock and has quiesced other committers: the spilled side log is
-    /// revalidated in software (restoring the serializability the
-    /// untracked entries lost), then the hardware commit publishes the
-    /// tracked stores and the spilled stores together.
+    /// Commits a ROT-tier or spill-tier transaction. The caller holds the
+    /// sequence lock and has quiesced other committers: the software read
+    /// log is revalidated (restoring the serializability the untracked
+    /// entries lost), then the hardware commit publishes the tracked
+    /// stores and any spilled ones together. A ROT attempt always
+    /// validates; a spill attempt only if it actually spilled.
     ///
     /// # Errors
     ///
     /// Returns the abort cause — and has already rolled back — on a failed
     /// validation or a hardware doom.
-    pub(crate) fn spill_commit_under_lock(&mut self) -> Result<(), AbortCause> {
-        assert!(self.spill_mode, "spill commit outside a spill-tier transaction");
-        if self.aborted.is_none() && self.has_spilled() {
+    pub(crate) fn validated_commit_hw(&mut self) -> Result<(), AbortCause> {
+        let (validate, cause) = if self.rot_soft {
+            // Seeded bug #3 (model-checker regression corpus): publishing
+            // the write buffer before validation bypasses both conflict
+            // detection (plain stores doom nobody) and the epoch, so a
+            // failed validation leaves dirty never-committed values in the
+            // arena.
+            if self.mem.test_early_rot_publish() && self.aborted.is_none() {
+                for (&addr, &value) in &self.write_buf {
+                    self.mem.write_word(addr, value);
+                }
+            }
+            (true, AbortCause::StmValidation)
+        } else {
+            assert!(self.spill_mode, "validated commit outside a ROT or spill transaction");
+            (self.has_spilled(), AbortCause::SpillValidation)
+        };
+        if validate && self.aborted.is_none() {
             self.charge(
                 hytm_cost::ROT_COMMIT_OVERHEAD
                     + hytm_cost::STM_VALIDATE_PER_WORD * self.soft_log.len() as u64,
             );
             if self.soft_log.validate(|a| self.mem.read_word(a)).is_some() {
-                self.aborted = Some(AbortCause::SpillValidation);
+                self.aborted = Some(cause);
             }
         }
         self.commit_hw()
@@ -964,6 +948,16 @@ impl TxnEngine {
 
     pub(crate) fn in_software_tx(&self) -> bool {
         self.state == BlockState::SoftwareTx
+    }
+
+    /// Rolls back the current transaction, hardware or software (the
+    /// abort exit of every attempt).
+    pub(crate) fn rollback(&mut self) {
+        if self.state == BlockState::SoftwareTx {
+            self.rollback_soft();
+        } else {
+            self.rollback_hw();
+        }
     }
 
     /// Rolls back the current hardware transaction, discarding buffered
@@ -1066,8 +1060,7 @@ impl TxnEngine {
     /// caller additionally force-releases the global lock.
     pub(crate) fn panic_cleanup(&mut self) {
         match self.state {
-            BlockState::HardwareTx => self.rollback_hw(),
-            BlockState::SoftwareTx => self.rollback_soft(),
+            BlockState::HardwareTx | BlockState::SoftwareTx => self.rollback(),
             BlockState::Irrevocable => self.abandon_irrevocable(),
             BlockState::Sequential => {
                 // A traced block died mid-flight: discard its partial
@@ -2346,7 +2339,7 @@ mod tests {
         }
         assert_eq!(e.tracker.load_lines(), 0);
         e.store(WordAddr(0), 1).unwrap();
-        e.rot_commit_under_lock().unwrap();
+        e.validated_commit_hw().unwrap();
         assert_eq!(e.mem.read_word(WordAddr(0)), 1);
         assert_eq!(e.stats.rot_commits, 1);
         assert_eq!(e.stats.hw_commits, 0);
@@ -2361,9 +2354,27 @@ mod tests {
         e.store(WordAddr(800), 9).unwrap();
         // An invisible read goes stale: only software validation can tell.
         e.mem.nontx_store(None, a, 7);
-        assert_eq!(e.rot_commit_under_lock(), Err(AbortCause::StmValidation));
+        assert_eq!(e.validated_commit_hw(), Err(AbortCause::StmValidation));
         assert_eq!(e.mem.read_word(WordAddr(800)), 0);
         assert_eq!(e.stats.rot_commits, 0);
+    }
+
+    #[test]
+    fn spill_tier_validation_failure_is_a_spill_validation_abort() {
+        let mut e = engine_on(Platform::Power8, ExecMode::Hardware);
+        e.begin_spill();
+        fill_tmcam(&mut e);
+        // The TMCAM is full, so this line spills into the side log.
+        let a = WordAddr(64 * 16);
+        e.load(a).unwrap();
+        assert!(e.has_spilled());
+        e.store(WordAddr(0), 9).unwrap();
+        // A spilled read goes stale: the hardware does not track it, so
+        // only the commit's software validation can tell.
+        e.mem.nontx_store(None, a, 7);
+        assert_eq!(e.validated_commit_hw(), Err(AbortCause::SpillValidation));
+        assert_eq!(e.mem.read_word(WordAddr(0)), 0);
+        assert_eq!(e.stats.spill_commits, 0);
     }
 
     #[test]
