@@ -80,6 +80,14 @@ impl Drop for CoopGuard {
     }
 }
 
+/// Exchanges the hooks installed on this thread with `hooks` (`None`: no
+/// hooks). A fiber driver keeps one slot per fiber and swaps it in and out
+/// at every resume, so each fiber sees only the hooks it installed.
+pub fn swap(hooks: &mut Option<Rc<dyn CoopHooks>>) {
+    HOOKS.with(|h| std::mem::swap(&mut *h.borrow_mut(), hooks));
+    ACTIVE.with(|a| a.set(HOOKS.with(|h| h.borrow().is_some())));
+}
+
 /// Whether cooperative hooks are installed on this thread.
 #[inline]
 pub fn enabled() -> bool {

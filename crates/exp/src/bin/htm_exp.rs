@@ -15,6 +15,8 @@
 //! `--no-cache`. Exit status: 0 on success, 1 when a `--gate` rule fires
 //! or `diff` finds differences, 2 on usage errors.
 
+#![deny(unsafe_code)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use htm_analyze::Gate;

@@ -33,6 +33,7 @@
 //! [`Json`]: htm_analyze::Json
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod chaos;
 pub mod coordinator;

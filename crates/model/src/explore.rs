@@ -394,6 +394,8 @@ pub fn serial_digests(cfg: &ModelConfig) -> BTreeSet<u64> {
 fn execute(cfg: &ModelConfig, forced: &[u32]) -> RunRecord {
     let (sim, addrs) = build_sim(cfg, true);
     cfg.bug.arm(sim.mem());
+    // The controller runs one worker at a time, so they can be fibers.
+    sim.declare_cooperative();
     let n = cfg.kernel.nthreads();
     let (_, policy) = cfg.tier.policy();
     let bound = match cfg.mode {

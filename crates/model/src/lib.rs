@@ -27,6 +27,8 @@
 //! tiers; the three seeded regression bugs (reader-doom skip, epoch-bump
 //! skip, early ROT publish) are each caught with a minimal counterexample.
 
+#![deny(unsafe_code)]
+
 pub mod explore;
 pub mod kernel;
 pub mod sched;

@@ -247,114 +247,145 @@ mod tests {
         Controller::with_policy(nthreads, Explorer::new(nthreads, forced, max_steps, None))
     }
 
-    /// Runs one scoped worker per body under `ctrl`; returns the abort
+    type Body = Box<dyn FnOnce() + Send>;
+    /// Runs one worker per body under a controller; returns the abort
     /// message each worker's body unwound with, if any.
-    fn run_threads(
-        ctrl: &Arc<Controller>,
-        bodies: Vec<Box<dyn FnOnce() + Send>>,
-    ) -> Vec<Option<String>> {
+    type Runner = fn(&Arc<Controller>, Vec<Body>) -> Vec<Option<String>>;
+
+    /// A worker: hooks, finish guard and registration, then `body`.
+    fn worker(ctrl: &Arc<Controller>, tid: u32, body: Body) -> Option<String> {
+        let hooks = ctrl.hooks(tid);
+        let _g = htm_core::coop::install(hooks);
+        let _f = ctrl.finish_guard(tid);
+        ctrl.register(tid);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        // Swallow the abort panic: the tests assert on the structured
+        // verdict instead.
+        r.err().and_then(|p| p.downcast::<String>().ok()).map(|m| *m)
+    }
+
+    /// One scoped OS thread per worker.
+    fn on_threads(ctrl: &Arc<Controller>, bodies: Vec<Body>) -> Vec<Option<String>> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = bodies
                 .into_iter()
                 .enumerate()
-                .map(|(tid, body)| {
-                    let ctrl = Arc::clone(ctrl);
-                    scope.spawn(move || {
-                        let tid = tid as u32;
-                        let hooks = ctrl.hooks(tid);
-                        let _g = htm_core::coop::install(hooks);
-                        let _f = ctrl.finish_guard(tid);
-                        ctrl.register(tid);
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-                        // Swallow the abort panic: the tests assert on the
-                        // structured verdict instead.
-                        r.err().and_then(|p| p.downcast::<String>().ok()).map(|m| *m)
-                    })
-                })
+                .map(|(tid, body)| scope.spawn(move || worker(ctrl, tid as u32, body)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker exits")).collect()
         })
     }
 
+    /// One fiber per worker, on this thread.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn on_fibers(ctrl: &Arc<Controller>, bodies: Vec<Body>) -> Vec<Option<String>> {
+        let bodies = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(tid, body)| {
+                Box::new(move || worker(ctrl, tid as u32, body))
+                    as Box<dyn FnOnce() -> Option<String> + '_>
+            })
+            .collect();
+        htm_runtime::fiber::run(bodies).into_iter().map(|r| r.expect("worker exits")).collect()
+    }
+
+    /// Every runner a worker can wait on: OS threads and, where the switch
+    /// routine exists, fibers.
+    fn runners() -> Vec<(&'static str, Runner)> {
+        let mut runners: Vec<(&'static str, Runner)> = vec![("threads", on_threads)];
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        runners.push(("fibers", on_fibers));
+        runners
+    }
+
     #[test]
     fn serializes_two_threads_and_logs_footprints() {
-        let ctrl = controller(2, Vec::new(), 1000);
-        let mk = |_tid: u32| {
-            Box::new(move || {
-                htm_core::coop::access(7, false);
-                htm_core::coop::point(CoopPoint::BlockStart);
-                htm_core::coop::access(7, true);
-                htm_core::coop::point(CoopPoint::PreCommit);
-            }) as Box<dyn FnOnce() + Send>
-        };
-        run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (log, abort) = ctrl.policy(Explorer::take_result);
-        assert!(abort.is_none(), "clean run: {abort:?}");
-        // Each thread: preamble-to-BlockStart, BlockStart-to-PreCommit,
-        // PreCommit-to-done = 3 steps.
-        assert_eq!(log.len(), 6);
-        let t0_writes: Vec<&Decision> =
-            log.iter().filter(|d| d.chosen == 0 && d.fp.get(&7) == Some(&true)).collect();
-        assert_eq!(t0_writes.len(), 1, "exactly one step carries thread 0's write");
-        // Default policy without a forced prefix keeps running one thread to
-        // completion before switching.
-        assert_eq!(log.iter().map(|d| d.chosen).collect::<Vec<_>>(), vec![0, 0, 0, 1, 1, 1]);
+        for (name, run) in runners() {
+            let ctrl = controller(2, Vec::new(), 1000);
+            let mk = |_tid: u32| {
+                Box::new(move || {
+                    htm_core::coop::access(7, false);
+                    htm_core::coop::point(CoopPoint::BlockStart);
+                    htm_core::coop::access(7, true);
+                    htm_core::coop::point(CoopPoint::PreCommit);
+                }) as Body
+            };
+            run(&ctrl, vec![mk(0), mk(1)]);
+            let (log, abort) = ctrl.policy(Explorer::take_result);
+            assert!(abort.is_none(), "{name}: clean run: {abort:?}");
+            // Each thread: preamble-to-BlockStart, BlockStart-to-PreCommit,
+            // PreCommit-to-done = 3 steps.
+            assert_eq!(log.len(), 6, "{name}");
+            let t0_writes: Vec<&Decision> =
+                log.iter().filter(|d| d.chosen == 0 && d.fp.get(&7) == Some(&true)).collect();
+            assert_eq!(t0_writes.len(), 1, "{name}: exactly one step carries thread 0's write");
+            // Default policy without a forced prefix keeps running one
+            // thread to completion before switching.
+            let order: Vec<u32> = log.iter().map(|d| d.chosen).collect();
+            assert_eq!(order, vec![0, 0, 0, 1, 1, 1], "{name}");
+        }
     }
 
     #[test]
     fn forced_prefix_steers_the_interleaving() {
-        let ctrl = controller(2, vec![0, 1, 0, 1, 0, 1], 1000);
-        let mk = |_tid: u32| {
-            Box::new(move || {
-                htm_core::coop::point(CoopPoint::BlockStart);
-                htm_core::coop::point(CoopPoint::PreCommit);
-            }) as Box<dyn FnOnce() + Send>
-        };
-        run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (log, abort) = ctrl.policy(Explorer::take_result);
-        assert!(abort.is_none(), "clean run: {abort:?}");
-        assert_eq!(log.iter().map(|d| d.chosen).collect::<Vec<_>>(), vec![0, 1, 0, 1, 0, 1]);
+        for (name, run) in runners() {
+            let ctrl = controller(2, vec![0, 1, 0, 1, 0, 1], 1000);
+            let mk = |_tid: u32| {
+                Box::new(move || {
+                    htm_core::coop::point(CoopPoint::BlockStart);
+                    htm_core::coop::point(CoopPoint::PreCommit);
+                }) as Body
+            };
+            run(&ctrl, vec![mk(0), mk(1)]);
+            let (log, abort) = ctrl.policy(Explorer::take_result);
+            assert!(abort.is_none(), "{name}: clean run: {abort:?}");
+            let order: Vec<u32> = log.iter().map(|d| d.chosen).collect();
+            assert_eq!(order, vec![0, 1, 0, 1, 0, 1], "{name}");
+        }
+    }
+
+    fn blocked_forever(_tid: u32) -> Body {
+        Box::new(move || loop {
+            htm_core::coop::point(CoopPoint::Blocked);
+        })
     }
 
     #[test]
     fn all_blocked_threads_is_reported_as_deadlock() {
-        let ctrl = controller(2, Vec::new(), 10_000);
-        let mk = |_tid: u32| {
-            Box::new(move || loop {
-                htm_core::coop::point(CoopPoint::Blocked);
-            }) as Box<dyn FnOnce() + Send>
-        };
-        run_threads(&ctrl, vec![mk(0), mk(1)]);
-        let (_, abort) = ctrl.policy(Explorer::take_result);
-        assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "got {abort:?}");
+        for (name, run) in runners() {
+            let ctrl = controller(2, Vec::new(), 10_000);
+            run(&ctrl, (0..2).map(blocked_forever).collect());
+            let (_, abort) = ctrl.policy(Explorer::take_result);
+            assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "{name}: got {abort:?}");
+        }
     }
 
     #[test]
     fn deadlock_unwinds_every_parked_thread() {
-        let ctrl = controller(3, Vec::new(), 10_000);
-        let mk = |_tid: u32| {
-            Box::new(move || loop {
-                htm_core::coop::point(CoopPoint::Blocked);
-            }) as Box<dyn FnOnce() + Send>
-        };
-        let ends = run_threads(&ctrl, (0..3).map(mk).collect());
-        for (tid, msg) in ends.iter().enumerate() {
-            let msg = msg.as_deref().unwrap_or_else(|| panic!("thread {tid} did not unwind"));
-            assert!(msg.starts_with(ABORT_PANIC_PREFIX), "thread {tid}: {msg}");
+        for (name, run) in runners() {
+            let ctrl = controller(3, Vec::new(), 10_000);
+            let ends = run(&ctrl, (0..3).map(blocked_forever).collect());
+            for (tid, msg) in ends.iter().enumerate() {
+                let msg = msg.as_deref().unwrap_or_else(|| panic!("{name}: {tid} did not unwind"));
+                assert!(msg.starts_with(ABORT_PANIC_PREFIX), "{name}: thread {tid}: {msg}");
+            }
+            let (_, abort) = ctrl.policy(Explorer::take_result);
+            assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "{name}: got {abort:?}");
         }
-        let (_, abort) = ctrl.policy(Explorer::take_result);
-        assert!(matches!(abort, Some(SchedAbort::Deadlock(_))), "got {abort:?}");
     }
 
     #[test]
     fn runaway_schedule_hits_the_step_bound() {
-        let ctrl = controller(1, Vec::new(), 64);
-        let body = Box::new(move || loop {
-            htm_core::coop::point(CoopPoint::BlockStart);
-        }) as Box<dyn FnOnce() + Send>;
-        run_threads(&ctrl, vec![body]);
-        let (_, abort) = ctrl.policy(Explorer::take_result);
-        assert!(matches!(abort, Some(SchedAbort::StepBound(_))), "got {abort:?}");
+        for (name, run) in runners() {
+            let ctrl = controller(1, Vec::new(), 64);
+            let body = Box::new(move || loop {
+                htm_core::coop::point(CoopPoint::BlockStart);
+            }) as Body;
+            run(&ctrl, vec![body]);
+            let (_, abort) = ctrl.policy(Explorer::take_result);
+            assert!(matches!(abort, Some(SchedAbort::StepBound(_))), "{name}: got {abort:?}");
+        }
     }
 
     #[test]

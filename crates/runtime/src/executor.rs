@@ -7,7 +7,7 @@
 //! speed-up = sequential cycles / max worker cycles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use htm_core::{
@@ -167,6 +167,37 @@ struct WorkerOut {
     replay_leftover: usize,
 }
 
+/// How one worker ended: its result, or the payload of a panic that
+/// escaped [`run_worker`].
+type WorkerEnd = std::thread::Result<SimResult<WorkerOut>>;
+
+/// One worker's body on either runner: runs `work`, then hands back the
+/// worker's outputs, or cleans up after a panic and reports it; then
+/// unregisters the worker from its core.
+fn run_worker<F>(mut ctx: ThreadCtx, work: &F, machine: &Machine) -> SimResult<WorkerOut>
+where
+    F: Fn(&mut ThreadCtx),
+{
+    let tid = ctx.thread_id();
+    let result = match catch_unwind(AssertUnwindSafe(|| work(&mut ctx))) {
+        Ok(()) => Ok(WorkerOut {
+            cert: ctx.engine_mut().take_cert(),
+            hb: ctx.engine_mut().take_hb(),
+            recording: ctx.take_recording(),
+            replay_leftover: ctx.replay_leftover(),
+            stats: ctx.take_stats(),
+        }),
+        Err(payload) => {
+            // Clean up what the dead worker left behind so the siblings can
+            // finish; a second panic here must not escape either.
+            let _ = catch_unwind(AssertUnwindSafe(|| ctx.panic_cleanup()));
+            Err(SimError::WorkerPanicked { thread: tid, message: panic_message(payload.as_ref()) })
+        }
+    };
+    machine.cores().thread_stopped(machine.config().core_of(tid));
+    result
+}
+
 /// One simulation instance: memory + platform + allocator + global lock.
 ///
 /// Benchmarks build their data structures through [`Sim::seq_ctx`] (or an
@@ -179,6 +210,8 @@ pub struct Sim {
     lock: GlobalLock,
     cfg: SimConfig,
     constrained_arbiter: Arc<Mutex<()>>,
+    /// Set by [`Sim::declare_cooperative`].
+    cooperative: AtomicBool,
 }
 
 impl std::fmt::Debug for Sim {
@@ -209,7 +242,15 @@ impl Sim {
         }
         let alloc = Arc::new(SimAlloc::new(1, cfg.mem_words));
         let lock = GlobalLock::new(&alloc, cfg.machine.granularity);
-        Ok(Sim { mem, machine, alloc, lock, cfg, constrained_arbiter: Arc::new(Mutex::new(())) })
+        Ok(Sim {
+            mem,
+            machine,
+            alloc,
+            lock,
+            cfg,
+            constrained_arbiter: Arc::new(Mutex::new(())),
+            cooperative: AtomicBool::new(false),
+        })
     }
 
     /// Builds a simulation instance.
@@ -225,6 +266,22 @@ impl Sim {
     /// Convenience: a simulation of `machine` with default settings.
     pub fn of(machine: MachineConfig) -> Sim {
         Sim::new(SimConfig::new(machine))
+    }
+
+    /// Declares this simulation's parallel runs cooperative: every worker
+    /// runs under one [`sched::Scheduler`](crate::sched::Scheduler), so one
+    /// worker runs at a time and none waits for another except through a
+    /// scheduler grant. Its runs then execute their workers as fibers on
+    /// the calling thread ([`fiber`](crate::fiber)), where a grant is a
+    /// register switch instead of an OS-thread wake; simulated results do
+    /// not change. [`Sim::replay`] keeps OS threads, as does every run on
+    /// targets other than x86_64 Linux.
+    ///
+    /// Workers that wait for each other any other way (a spin on shared
+    /// memory without a scheduler pause) would hang on fibers: free-running
+    /// workloads must not declare this.
+    pub fn declare_cooperative(&self) {
+        self.cooperative.store(true, Ordering::Relaxed);
     }
 
     /// The simulated memory.
@@ -484,16 +541,8 @@ impl Sim {
         let hybrid_epoch =
             self.cfg.fallback.uses_software_commits().then(|| Arc::new(AtomicU64::new(0)));
         let turnstile = Turnstile::new();
-        let work = &work;
-        let mut outs: Vec<WorkerOut> = Vec::with_capacity(num_threads as usize);
-        let mut first_error: Option<SimError> = None;
-        // All workers start together: without this, thread-spawn skew lets
-        // early workers finish short workloads before any concurrency (and
-        // hence any conflict) materializes.
-        let start = Arc::new(std::sync::Barrier::new(num_threads as usize));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(num_threads as usize);
-            for tid in 0..num_threads {
+        let ctxs: Vec<ThreadCtx> = (0..num_threads)
+            .map(|tid| {
                 let mut ctx = self.make_ctx(tid, num_threads, ExecMode::Hardware, policy, !replay);
                 if let Some(clock) = &commit_clock {
                     ctx.engine_mut().set_commit_clock(Arc::clone(clock));
@@ -514,58 +563,38 @@ impl Sim {
                         ctx.enable_replay(trace.thread_blocks(tid), turnstile.clone());
                     }
                 }
-                let machine = Arc::clone(&self.machine);
-                let start = Arc::clone(&start);
-                handles.push(scope.spawn(move || {
-                    let core = machine.config().core_of(tid);
-                    machine.cores().thread_started(core);
-                    start.wait();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| work(&mut ctx)));
-                    let result = match outcome {
-                        Ok(()) => Ok(WorkerOut {
-                            cert: ctx.engine_mut().take_cert(),
-                            hb: ctx.engine_mut().take_hb(),
-                            recording: ctx.take_recording(),
-                            replay_leftover: ctx.replay_leftover(),
-                            stats: ctx.take_stats(),
-                        }),
-                        Err(payload) => {
-                            // Clean up what the dead worker left behind so
-                            // the siblings can finish; a second panic here
-                            // must not escape either.
-                            let _ = catch_unwind(AssertUnwindSafe(|| ctx.panic_cleanup()));
-                            Err(SimError::WorkerPanicked {
-                                thread: tid,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        }
-                    };
-                    machine.cores().thread_stopped(core);
-                    result
-                }));
+                ctx
+            })
+            .collect();
+        let ends = match () {
+            // A cooperative run's workers take turns under one scheduler, so
+            // they run as fibers on this thread. Replay's turnstile spins
+            // across threads, so replays keep OS threads.
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            () if self.cooperative.load(Ordering::Relaxed) && !replay => {
+                self.run_on_fibers(ctxs, &work)
             }
-            for h in handles {
-                // The closure catches worker panics, so join only fails if
-                // the *cleanup* path itself died; surface that as a panic
-                // message rather than unwinding through the scope.
-                match h.join() {
-                    Ok(Ok(o)) => outs.push(o),
-                    Ok(Err(e)) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                    Err(payload) => {
-                        if first_error.is_none() {
-                            first_error = Some(SimError::WorkerPanicked {
-                                thread: u32::MAX,
-                                message: panic_message(payload.as_ref()),
-                            });
-                        }
-                    }
+            () => self.run_on_threads(ctxs, &work),
+        };
+        let mut outs: Vec<WorkerOut> = Vec::with_capacity(num_threads as usize);
+        let mut first_error: Option<SimError> = None;
+        for end in ends {
+            // The worker body catches worker panics, so a worker only ends
+            // in a panic if the *cleanup* path itself died; surface that as
+            // a panic message rather than unwinding.
+            match end {
+                Ok(Ok(o)) => outs.push(o),
+                Ok(Err(e)) => {
+                    first_error.get_or_insert(e);
+                }
+                Err(payload) => {
+                    first_error.get_or_insert(SimError::WorkerPanicked {
+                        thread: u32::MAX,
+                        message: panic_message(payload.as_ref()),
+                    });
                 }
             }
-        });
+        }
         if let Some(e) = first_error {
             return Err(e);
         }
@@ -608,6 +637,54 @@ impl Sim {
         }
         let trace = record.then(|| ScheduleTrace::assemble(self.cfg.seed, per_thread));
         Ok((stats, trace))
+    }
+
+    /// Runs one OS thread per worker context.
+    fn run_on_threads<F>(&self, ctxs: Vec<ThreadCtx>, work: &F) -> Vec<WorkerEnd>
+    where
+        F: Fn(&mut ThreadCtx) + Sync,
+    {
+        // All workers start together: without this, thread-spawn skew lets
+        // early workers finish short workloads before any concurrency (and
+        // hence any conflict) materializes.
+        let start = std::sync::Barrier::new(ctxs.len());
+        let (start, machine) = (&start, &*self.machine);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = ctxs
+                .into_iter()
+                .map(|ctx| {
+                    scope.spawn(move || {
+                        machine.cores().thread_started(machine.config().core_of(ctx.thread_id()));
+                        start.wait();
+                        run_worker(ctx, work, machine)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    }
+
+    /// Runs every worker context as a fiber on the calling thread (see
+    /// [`Sim::declare_cooperative`]).
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn run_on_fibers<F>(&self, ctxs: Vec<ThreadCtx>, work: &F) -> Vec<WorkerEnd>
+    where
+        F: Fn(&mut ThreadCtx) + Sync,
+    {
+        // Every worker is running before the first one starts, as behind
+        // the OS-thread runner's start barrier.
+        let machine = &*self.machine;
+        for ctx in &ctxs {
+            machine.cores().thread_started(machine.config().core_of(ctx.thread_id()));
+        }
+        crate::fiber::run(
+            ctxs.into_iter()
+                .map(|ctx| {
+                    Box::new(move || run_worker(ctx, work, machine))
+                        as Box<dyn FnOnce() -> SimResult<WorkerOut> + '_>
+                })
+                .collect(),
+        )
     }
 
     /// Runs `work` once sequentially (the speed-up denominator), returning
@@ -831,6 +908,81 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::WorkerPanicked { thread: 0, .. }), "{err:?}");
         assert!(!s.lock().is_locked(s.mem()), "panic recovery must free the global lock");
+    }
+
+    /// Runs `body` on `n` workers of a cooperative `Sim` under a round-robin
+    /// scheduler (fibers on x86_64 Linux).
+    fn cooperative_run(
+        s: &Sim,
+        n: u32,
+        body: impl Fn(&mut ThreadCtx) + Sync,
+    ) -> SimResult<RunStats> {
+        let sched = crate::sched::RoundRobin::new(n);
+        s.declare_cooperative();
+        s.try_run_parallel(n, RetryPolicy::default(), |ctx| {
+            let tid = ctx.thread_id();
+            let _hooks = htm_core::coop::install(sched.hooks(tid));
+            let _done = sched.finish_guard(tid);
+            sched.register(tid);
+            body(ctx);
+        })
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn cooperative_workers_run_as_fibers_on_the_calling_thread() {
+        let s = sim(Platform::IntelCore);
+        let caller = std::thread::current().id();
+        let on_caller = std::sync::atomic::AtomicU32::new(0);
+        cooperative_run(&s, 4, |_| {
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+        .expect("run");
+        assert_eq!(on_caller.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn worker_panic_on_fibers_is_named_and_siblings_finish() {
+        let s = sim(Platform::IntelCore);
+        let a = s.alloc().alloc(1);
+        let err = cooperative_run(&s, 4, |ctx| {
+            for i in 0..200 {
+                ctx.atomic(|tx| {
+                    let v = tx.load(a)?;
+                    tx.store(a, v + 1)
+                });
+                if ctx.thread_id() == 2 && i == 50 {
+                    panic!("injected fiber panic");
+                }
+            }
+        })
+        .unwrap_err();
+        match err {
+            SimError::WorkerPanicked { thread: 2, ref message } => {
+                assert!(message.contains("injected fiber panic"), "{message}");
+            }
+            other => panic!("expected WorkerPanicked from thread 2, got {other:?}"),
+        }
+        // The three siblings ran their full workload, and the dead worker
+        // committed 51 blocks before it panicked.
+        assert_eq!(s.read_word(a), 3 * 200 + 51);
+    }
+
+    #[test]
+    fn round_robin_deadlock_on_fibers_returns_its_diagnostic() {
+        let s = sim(Platform::IntelCore);
+        let err = cooperative_run(&s, 3, |_| loop {
+            htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
+        })
+        .unwrap_err();
+        match err {
+            SimError::WorkerPanicked { message, .. } => {
+                assert!(message.contains("svc scheduler deadlock"), "{message}");
+            }
+            other => panic!("expected the scheduler's deadlock diagnostic, got {other:?}"),
+        }
     }
 
     #[test]

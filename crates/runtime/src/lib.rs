@@ -19,7 +19,8 @@
 //!   rare branches of the retry machine (spurious aborts, capacity storms,
 //!   speculation-ID starvation, delayed lock release) on demand,
 //! * [`executor`] — [`Sim`], building a platform instance and running
-//!   workloads sequentially (the speed-up baseline) or on worker threads,
+//!   workloads sequentially (the speed-up baseline) or on worker threads
+//!   (a cooperative `Sim`'s workers run as fibers),
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
@@ -34,6 +35,9 @@
 //!   through the `htm_core::coop` hooks, and a [`Policy`](sched::Policy)
 //!   picks each grant ([`RoundRobin`](sched::RoundRobin) for the svc
 //!   workload, the model checker's explorer in `htm-model`),
+//! * `fiber` (x86_64 Linux) — stackful fibers: a cooperative run's workers
+//!   on the calling thread, so a scheduler grant is a register switch; the
+//!   crate's only unsafe code,
 //! * [`sanitize`] — the happens-before race sanitizer
 //!   (`SimConfig::sanitize`): per-thread vector-clocked access capture,
 //!   checked post-run by [`htm_core::detect_races`] into a
@@ -63,11 +67,15 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod certify;
 pub mod ctx;
 pub mod executor;
 pub mod faults;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[allow(unsafe_code)]
+pub mod fiber;
 mod line_set;
 pub mod lock;
 pub mod replay;

@@ -9,8 +9,14 @@
 //! runs only while it holds the grant. A *step* is everything a thread
 //! executes between two of its own pauses. At each scheduling point the
 //! running thread ends its step, marks itself Ready (or Blocked, at
-//! [`CoopPoint::Blocked`]), grants the thread the policy picks, and parks
-//! on its own condvar until it is granted again.
+//! [`CoopPoint::Blocked`]), grants the thread the policy picks, and waits
+//! until it is granted again. A worker running as a fiber (a cooperative
+//! `Sim`'s workers, see [`crate::fiber`]) waits by suspending to its
+//! driver, naming the granted thread, which the driver resumes: a register
+//! switch. A worker on its own OS thread (other targets, or callers that
+//! register from threads they spawned) parks on its own condvar. A
+//! finishing fiber only records the next grant, since it may be unwinding;
+//! the driver resumes that thread once the fiber's body has returned.
 //!
 //! A Blocked thread observed a condition only another thread can change (a
 //! held lock, a committing slot, an odd epoch). It stays grantable: a grant
@@ -40,6 +46,20 @@ use std::rc::Rc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use htm_core::coop::{CoopHooks, CoopPoint};
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::fiber;
+
+/// Without the fiber switch routine every worker is an OS thread.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+mod fiber {
+    pub fn current() -> Option<usize> {
+        None
+    }
+    pub fn suspend(_next: Option<usize>) {}
+    pub fn hand_over(_next: usize) {}
+    pub fn unwind_all(_diagnostic: String) {}
+}
 
 /// A worker's entry in the scheduler's thread table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,7 +112,8 @@ struct State<P> {
 /// Shared scheduler for one run of `nthreads` workers.
 pub struct Scheduler<P: Policy> {
     state: Mutex<State<P>>,
-    /// One condvar per thread, so a grant wakes only the granted thread.
+    /// One condvar per thread, so a grant wakes only the granted thread
+    /// (workers on OS threads; fibers suspend to their driver instead).
     wake: Vec<Condvar>,
 }
 
@@ -187,6 +208,12 @@ impl<P: Policy> Scheduler<P> {
             s.current = None;
             self.grant(&mut s);
         }
+        // This runs in a drop guard, possibly while unwinding, so a fiber
+        // must not switch here: the driver resumes the grant once this
+        // fiber's body has returned.
+        if let Some(t) = s.current {
+            fiber::hand_over(t as usize);
+        }
     }
 
     /// Grants the policy's pick, or records its verdict and wakes every
@@ -205,16 +232,19 @@ impl<P: Policy> Scheduler<P> {
                 debug_assert_ne!(s.status[t as usize], ThreadState::Done, "granted a done thread");
                 s.status[t as usize] = ThreadState::Ready;
                 s.current = Some(t);
-                self.wake[t as usize].notify_one();
+                if fiber::current().is_none() {
+                    self.wake[t as usize].notify_one();
+                }
             }
             Err(diagnostic) => {
+                fiber::unwind_all(diagnostic.clone());
                 s.abort = Some(diagnostic);
                 self.wake.iter().for_each(Condvar::notify_one);
             }
         }
     }
 
-    fn wait_for_grant(&self, mut s: MutexGuard<'_, State<P>>, tid: u32) {
+    fn wait_for_grant<'s>(&'s self, mut s: MutexGuard<'s, State<P>>, tid: u32) {
         loop {
             if let Some(diagnostic) = s.abort.clone() {
                 drop(s);
@@ -225,7 +255,14 @@ impl<P: Policy> Scheduler<P> {
             if s.current == Some(tid) {
                 return;
             }
-            s = self.wake[tid as usize].wait(s).unwrap_or_else(|p| p.into_inner());
+            if fiber::current().is_some() {
+                let granted = s.current;
+                drop(s);
+                fiber::suspend(granted.map(|t| t as usize));
+                s = self.lock();
+            } else {
+                s = self.wake[tid as usize].wait(s).unwrap_or_else(|p| p.into_inner());
+            }
         }
     }
 }
@@ -321,33 +358,56 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     type Body = Box<dyn FnOnce() + Send>;
+    type Ends = Vec<std::thread::Result<()>>;
+    /// Runs one worker per body under a scheduler; returns how each ended.
+    type Runner = fn(&Arc<RoundRobin>, Vec<Body>) -> Ends;
 
-    /// Runs one scoped worker per body under `sched`; returns how each
-    /// worker ended.
-    fn run_threads(sched: &Arc<RoundRobin>, bodies: Vec<Body>) -> Vec<std::thread::Result<()>> {
+    /// A worker: hooks, finish guard and registration, then `body`.
+    fn worker(sched: &Arc<RoundRobin>, tid: u32, body: Body) {
+        let _g = htm_core::coop::install(sched.hooks(tid));
+        let _f = sched.finish_guard(tid);
+        sched.register(tid);
+        body();
+    }
+
+    /// One scoped OS thread per worker.
+    fn on_threads(sched: &Arc<RoundRobin>, bodies: Vec<Body>) -> Ends {
         std::thread::scope(|scope| {
             let handles: Vec<_> = bodies
                 .into_iter()
                 .enumerate()
-                .map(|(tid, body)| {
-                    let sched = Arc::clone(sched);
-                    scope.spawn(move || {
-                        let tid = tid as u32;
-                        let _g = htm_core::coop::install(sched.hooks(tid));
-                        let _f = sched.finish_guard(tid);
-                        sched.register(tid);
-                        body();
-                    })
-                })
+                .map(|(tid, body)| scope.spawn(move || worker(sched, tid as u32, body)))
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         })
     }
 
-    /// Like [`run_threads`], but re-raises a worker's panic payload (the
-    /// deadlock test asserts on its message).
-    fn run_to_completion(sched: &Arc<RoundRobin>, bodies: Vec<Body>) {
-        for r in run_threads(sched, bodies) {
+    /// One fiber per worker, on this thread.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn on_fibers(sched: &Arc<RoundRobin>, bodies: Vec<Body>) -> Ends {
+        fiber::run(
+            bodies
+                .into_iter()
+                .enumerate()
+                .map(|(tid, body)| {
+                    Box::new(move || worker(sched, tid as u32, body)) as Box<dyn FnOnce() + '_>
+                })
+                .collect(),
+        )
+    }
+
+    /// Every runner a worker can wait on: OS threads (the condvar grant)
+    /// and, where the switch routine exists, fibers.
+    fn runners() -> Vec<(&'static str, Runner)> {
+        let mut runners: Vec<(&'static str, Runner)> = vec![("threads", on_threads)];
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        runners.push(("fibers", on_fibers));
+        runners
+    }
+
+    /// Like `run`, but re-raises a worker's panic payload.
+    fn run_to_completion(run: Runner, sched: &Arc<RoundRobin>, bodies: Vec<Body>) {
+        for r in run(sched, bodies) {
             if let Err(p) = r {
                 std::panic::resume_unwind(p);
             }
@@ -356,7 +416,7 @@ mod tests {
 
     /// The panic message every worker unwound with; fails if one exited
     /// normally.
-    fn unwound(ends: Vec<std::thread::Result<()>>) -> Vec<String> {
+    fn unwound(ends: Ends) -> Vec<String> {
         ends.into_iter()
             .enumerate()
             .map(|(tid, r)| {
@@ -385,94 +445,109 @@ mod tests {
 
     #[test]
     fn rotates_grants_between_threads() {
-        let sched = RoundRobin::new(3);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_to_completion(
-            &sched,
-            (0..3).map(|t| logging(t, CoopPoint::BlockStart, 3, &order)).collect(),
-        );
-        let order = order.lock().unwrap().clone();
-        // Round-robin interleaves instead of running one thread to
-        // completion: thread 0 runs first (prev starts at n-1), and each
-        // slice rotates.
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        for (name, run) in runners() {
+            let sched = RoundRobin::new(3);
+            let order = Arc::new(Mutex::new(Vec::new()));
+            run_to_completion(
+                run,
+                &sched,
+                (0..3).map(|t| logging(t, CoopPoint::BlockStart, 3, &order)).collect(),
+            );
+            let order = order.lock().unwrap().clone();
+            // Round-robin interleaves instead of running one thread to
+            // completion: thread 0 runs first (prev starts at n-1), and
+            // each slice rotates.
+            assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2], "{name}");
+        }
     }
 
     #[test]
     fn blocked_threads_are_granted_in_their_rotation_turn() {
-        let sched = RoundRobin::new(3);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_to_completion(
-            &sched,
-            vec![
-                logging(0, CoopPoint::BlockStart, 3, &order),
-                logging(1, CoopPoint::Blocked, 3, &order),
-                logging(2, CoopPoint::BlockStart, 3, &order),
-            ],
-        );
-        // Thread 1 is Blocked at every grant after its first, while 0 and 2
-        // are Ready; it still gets its turn instead of being skipped.
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        for (name, run) in runners() {
+            let sched = RoundRobin::new(3);
+            let order = Arc::new(Mutex::new(Vec::new()));
+            run_to_completion(
+                run,
+                &sched,
+                vec![
+                    logging(0, CoopPoint::BlockStart, 3, &order),
+                    logging(1, CoopPoint::Blocked, 3, &order),
+                    logging(2, CoopPoint::BlockStart, 3, &order),
+                ],
+            );
+            // Thread 1 is Blocked at every grant after its first, while 0
+            // and 2 are Ready; it still gets its turn instead of being
+            // skipped.
+            assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 0, 1, 2, 0, 1, 2], "{name}");
+        }
     }
 
     #[test]
     fn blocked_threads_are_probed_not_starved() {
-        let sched = RoundRobin::new(2);
-        let flag = Arc::new(Mutex::new(false));
-        let f0 = Arc::clone(&flag);
-        let t0 = Box::new(move || {
-            // Spin until thread 1 sets the flag; pause Blocked per poll.
-            loop {
-                if *f0.lock().unwrap() {
-                    break;
+        for (name, run) in runners() {
+            let sched = RoundRobin::new(2);
+            let flag = Arc::new(Mutex::new(false));
+            let f0 = Arc::clone(&flag);
+            let t0 = Box::new(move || {
+                // Spin until thread 1 sets the flag; pause Blocked per poll.
+                loop {
+                    if *f0.lock().unwrap() {
+                        break;
+                    }
+                    htm_core::coop::point(CoopPoint::Blocked);
                 }
-                htm_core::coop::point(CoopPoint::Blocked);
-            }
-        }) as Body;
-        let f1 = Arc::clone(&flag);
-        let t1 = Box::new(move || {
-            htm_core::coop::point(CoopPoint::BlockStart);
-            *f1.lock().unwrap() = true;
-        }) as Body;
-        run_to_completion(&sched, vec![t0, t1]);
-        assert!(*flag.lock().unwrap());
+            }) as Body;
+            let f1 = Arc::clone(&flag);
+            let t1 = Box::new(move || {
+                htm_core::coop::point(CoopPoint::BlockStart);
+                *f1.lock().unwrap() = true;
+            }) as Body;
+            run_to_completion(run, &sched, vec![t0, t1]);
+            assert!(*flag.lock().unwrap(), "{name}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "svc scheduler deadlock")]
     fn all_blocked_forever_is_a_deadlock() {
-        let sched = RoundRobin::new(1);
-        // The panic unwinds out of the single worker through the scope.
-        run_to_completion(&sched, vec![blocked_forever()]);
+        for (name, run) in runners() {
+            let sched = RoundRobin::new(1);
+            let msgs = unwound(run(&sched, vec![blocked_forever()]));
+            assert!(msgs[0].contains("svc scheduler deadlock"), "{name}: {msgs:?}");
+        }
     }
 
     #[test]
     fn deadlock_unwinds_every_parked_thread() {
-        let sched = RoundRobin::new(3);
-        let msgs = unwound(run_threads(&sched, (0..3).map(|_| blocked_forever()).collect()));
-        for msg in msgs {
-            assert!(msg.contains("svc scheduler deadlock"), "{msg}");
+        for (name, run) in runners() {
+            let sched = RoundRobin::new(3);
+            let msgs = unwound(run(&sched, (0..3).map(|_| blocked_forever()).collect()));
+            for msg in msgs {
+                assert!(msg.contains("svc scheduler deadlock"), "{name}: {msg}");
+            }
         }
     }
 
     #[test]
     fn a_step_with_a_line_access_resets_the_deadlock_count() {
-        // Both threads stay Blocked; thread 0 touches a line on each of its
-        // first 600 steps, more than the 64n + 256 = 384 round bound.
-        let sched = RoundRobin::new(2);
-        let polls = Arc::new(AtomicU32::new(0));
-        let p0 = Arc::clone(&polls);
-        let t0 = Box::new(move || loop {
-            if p0.fetch_add(1, Ordering::Relaxed) < 600 {
-                htm_core::coop::access(7, false);
-            }
-            htm_core::coop::point(CoopPoint::Blocked);
-        }) as Body;
-        let msgs = unwound(run_threads(&sched, vec![t0, blocked_forever()]));
-        assert!(msgs.iter().all(|m| m.contains("svc scheduler deadlock")), "{msgs:?}");
-        // The count restarts at thread 0's last access and grows by one per
-        // grant after it, so the 385th round is thread 0's 192nd poll
-        // without an access.
-        assert_eq!(polls.load(Ordering::Relaxed), 600 + 192);
+        for (name, run) in runners() {
+            // Both threads stay Blocked; thread 0 touches a line on each of
+            // its first 600 steps, more than the 64n + 256 = 384 round
+            // bound.
+            let sched = RoundRobin::new(2);
+            let polls = Arc::new(AtomicU32::new(0));
+            let p0 = Arc::clone(&polls);
+            let t0 = Box::new(move || loop {
+                if p0.fetch_add(1, Ordering::Relaxed) < 600 {
+                    htm_core::coop::access(7, false);
+                }
+                htm_core::coop::point(CoopPoint::Blocked);
+            }) as Body;
+            let msgs = unwound(run(&sched, vec![t0, blocked_forever()]));
+            assert!(msgs.iter().all(|m| m.contains("svc scheduler deadlock")), "{name}: {msgs:?}");
+            // The count restarts at thread 0's last access and grows by one
+            // per grant after it, so the 385th round is thread 0's 192nd
+            // poll without an access.
+            assert_eq!(polls.load(Ordering::Relaxed), 600 + 192, "{name}");
+        }
     }
 }

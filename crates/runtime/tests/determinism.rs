@@ -12,7 +12,8 @@
 //! 3. Every commit path of every retry policy (the Figure-1 loop, the
 //!    adaptive tiers, HLE, constrained transactions, watchdog trips and
 //!    their replays) produces exactly the pinned counters, cycles and
-//!    memory image.
+//!    memory image, with the workers on OS threads and, on a cooperative
+//!    `Sim`, as fibers.
 
 use std::sync::Arc;
 
@@ -250,8 +251,13 @@ fn hle_and_constrained_blocks_replay_bit_identically() {
     {
         let machine = platform.config();
         for threads in [1, 2] {
-            let (sim, counters, wide) =
-                pin_sim(&machine, FallbackPolicy::Lock, plan, WatchdogConfig::default());
+            let (sim, counters, wide) = pin_sim(
+                &machine,
+                FallbackPolicy::Lock,
+                plan,
+                WatchdogConfig::default(),
+                Runner::Threads,
+            );
             let (recorded, trace) = sim
                 .record_parallel(
                     threads,
@@ -268,8 +274,13 @@ fn hle_and_constrained_blocks_replay_bit_identically() {
             let trace = ScheduleTrace::load(&path).expect("load trace");
             let _ = std::fs::remove_file(&path);
 
-            let (sim2, counters2, wide2) =
-                pin_sim(&machine, FallbackPolicy::Lock, plan, WatchdogConfig::default());
+            let (sim2, counters2, wide2) = pin_sim(
+                &machine,
+                FallbackPolicy::Lock,
+                plan,
+                WatchdogConfig::default(),
+                Runner::Threads,
+            );
             let replayed = sim2
                 .replay(&trace, RetryPolicy::default(), pin_work(counters2, wide2, api, None))
                 .expect("replay");
@@ -314,10 +325,11 @@ fn certified_record_and_replay_both_certify_clean() {
 // counter total, each thread's abort categories and simulated cycles, and
 // the memory digest into an FNV-64 hash per scenario group. Runs of more
 // than one thread go through the round-robin cooperative scheduler, so
-// every value, cycles included, is a pure function of the code. The
-// expected hashes were captured once and are not to be re-blessed: a
-// change to the retry machinery that moves any simulated result fails
-// here and names the group it moved.
+// every value, cycles included, is a pure function of the code. Every
+// group runs twice, on OS threads and on a cooperative `Sim` (fibers),
+// against the same hashes. The expected hashes were captured once and are
+// not to be re-blessed: a change to the retry machinery that moves any
+// simulated result fails here and names the group it moved.
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -394,11 +406,22 @@ const PIN_STRIDE: u32 = 32;
 const PIN_WIDE: u32 = 80;
 const PIN_BLOCKS: u32 = 40;
 
+/// Where a pinned run's workers run.
+#[derive(Clone, Copy, Debug)]
+enum Runner {
+    Threads,
+    /// A cooperative `Sim`: its workers are fibers on the calling thread.
+    Fibers,
+}
+
+const RUNNERS: [Runner; 2] = [Runner::Threads, Runner::Fibers];
+
 fn pin_sim(
     machine: &MachineConfig,
     fallback: FallbackPolicy,
     plan: FaultPlan,
     watchdog: WatchdogConfig,
+    runner: Runner,
 ) -> (Sim, WordAddr, WordAddr) {
     let cfg = SimConfig::new(machine.clone())
         .mem_words(1 << 18)
@@ -407,6 +430,9 @@ fn pin_sim(
         .fallback(fallback)
         .watchdog(watchdog);
     let sim = Sim::new(cfg);
+    if let Runner::Fibers = runner {
+        sim.declare_cooperative();
+    }
     let counters = sim.alloc().alloc_aligned(32, 256);
     let wide = sim.alloc().alloc_aligned(PIN_WIDE * PIN_STRIDE, 256);
     (sim, counters, wide)
@@ -467,8 +493,9 @@ fn pin_run(
     policy: RetryPolicy,
     api: PinApi,
     threads: u32,
+    runner: Runner,
 ) -> u64 {
-    let (sim, counters, wide) = pin_sim(machine, fallback, plan, watchdog);
+    let (sim, counters, wide) = pin_sim(machine, fallback, plan, watchdog, runner);
     let sched = (threads > 1).then(|| RoundRobin::new(threads));
     let stats = sim.run_parallel(threads, policy, pin_work(counters, wide, api, sched));
     assert_eq!(stats.committed_blocks(), (threads * PIN_BLOCKS) as u64);
@@ -477,7 +504,7 @@ fn pin_run(
 
 /// Compares computed group hashes against the pinned ones, naming every
 /// group that moved.
-fn check_pins(actual: &[(String, u64)], expected: &[(&str, u64)]) {
+fn check_pins(runner: Runner, actual: &[(String, u64)], expected: &[(&str, u64)]) {
     let moved: Vec<String> = actual
         .iter()
         .filter(|(g, h)| !expected.contains(&(g.as_str(), *h)))
@@ -485,7 +512,7 @@ fn check_pins(actual: &[(String, u64)], expected: &[(&str, u64)]) {
         .collect();
     assert!(
         moved.is_empty() && actual.len() == expected.len(),
-        "{} of {} retry-path groups moved (computed values):\n{}",
+        "{runner:?}: {} of {} retry-path groups moved (computed values):\n{}",
         moved.len(),
         expected.len(),
         moved.join("\n")
@@ -517,28 +544,31 @@ const TIER_PINS: &[(&str, u64)] = &[
 
 #[test]
 fn every_tier_on_every_machine_is_pinned() {
-    let mut actual = Vec::new();
-    for (name, machine) in pin_machines() {
-        for fallback in PIN_TIERS {
-            let mut h = FNV_OFFSET;
-            for plan in [FaultPlan::none(), pin_storm()] {
-                for threads in [1, 2, 4] {
-                    h = pin_run(
-                        h,
-                        &machine,
-                        fallback,
-                        plan,
-                        WatchdogConfig::default(),
-                        RetryPolicy::default(),
-                        PinApi::Atomic,
-                        threads,
-                    );
+    for runner in RUNNERS {
+        let mut actual = Vec::new();
+        for (name, machine) in pin_machines() {
+            for fallback in PIN_TIERS {
+                let mut h = FNV_OFFSET;
+                for plan in [FaultPlan::none(), pin_storm()] {
+                    for threads in [1, 2, 4] {
+                        h = pin_run(
+                            h,
+                            &machine,
+                            fallback,
+                            plan,
+                            WatchdogConfig::default(),
+                            RetryPolicy::default(),
+                            PinApi::Atomic,
+                            threads,
+                            runner,
+                        );
+                    }
                 }
+                actual.push((format!("{name}/{}", fallback.key()), h));
             }
-            actual.push((format!("{name}/{}", fallback.key()), h));
         }
+        check_pins(runner, &actual, TIER_PINS);
     }
-    check_pins(&actual, TIER_PINS);
 }
 
 const INTERFACE_PINS: &[(&str, u64)] =
@@ -548,35 +578,40 @@ const INTERFACE_PINS: &[(&str, u64)] =
 fn hle_and_constrained_interfaces_are_pinned() {
     let intel = Platform::IntelCore.config();
     let zec12 = Platform::Zec12.config();
-    let mut hle = FNV_OFFSET;
-    let mut cx = FNV_OFFSET;
-    for plan in [FaultPlan::none(), pin_storm()] {
-        for threads in [1, 2, 4] {
-            hle = pin_run(
-                hle,
-                &intel,
+    for runner in RUNNERS {
+        let mut hle = FNV_OFFSET;
+        let mut cx = FNV_OFFSET;
+        for plan in [FaultPlan::none(), pin_storm()] {
+            for threads in [1, 2, 4] {
+                hle = pin_run(
+                    hle,
+                    &intel,
+                    FallbackPolicy::Lock,
+                    plan,
+                    WatchdogConfig::default(),
+                    RetryPolicy::default(),
+                    PinApi::Hle,
+                    threads,
+                    runner,
+                );
+            }
+            // One thread only: the constrained arbiter is a host mutex a
+            // worker may hold across a cooperative pause.
+            cx = pin_run(
+                cx,
+                &zec12,
                 FallbackPolicy::Lock,
                 plan,
                 WatchdogConfig::default(),
                 RetryPolicy::default(),
-                PinApi::Hle,
-                threads,
+                PinApi::Constrained,
+                1,
+                runner,
             );
         }
-        // One thread only: the constrained arbiter is a host mutex a
-        // worker may hold across a cooperative pause.
-        cx = pin_run(
-            cx,
-            &zec12,
-            FallbackPolicy::Lock,
-            plan,
-            WatchdogConfig::default(),
-            RetryPolicy::default(),
-            PinApi::Constrained,
-            1,
-        );
+        let actual = [("intel/hle".into(), hle), ("zec12/constrained".into(), cx)];
+        check_pins(runner, &actual, INTERFACE_PINS);
     }
-    check_pins(&[("intel/hle".into(), hle), ("zec12/constrained".into(), cx)], INTERFACE_PINS);
 }
 
 const WATCHDOG_PINS: &[(&str, u64)] = &[
@@ -596,26 +631,29 @@ const WATCHDOG_PINS: &[(&str, u64)] = &[
 fn watchdog_trips_are_pinned() {
     let storm = FaultPlan::none().transient_abort_per_begin(1.0);
     let watchdog = WatchdogConfig { starvation_bound: 16, degraded_blocks: 4, escalation_cap: 3 };
-    let mut actual = Vec::new();
-    for (name, machine) in pin_machines() {
-        for fallback in [FallbackPolicy::Lock, FallbackPolicy::Adaptive] {
-            let mut h = FNV_OFFSET;
-            for threads in [1, 2] {
-                h = pin_run(
-                    h,
-                    &machine,
-                    fallback,
-                    storm,
-                    watchdog,
-                    RetryPolicy::uniform(1_000_000),
-                    PinApi::Atomic,
-                    threads,
-                );
+    for runner in RUNNERS {
+        let mut actual = Vec::new();
+        for (name, machine) in pin_machines() {
+            for fallback in [FallbackPolicy::Lock, FallbackPolicy::Adaptive] {
+                let mut h = FNV_OFFSET;
+                for threads in [1, 2] {
+                    h = pin_run(
+                        h,
+                        &machine,
+                        fallback,
+                        storm,
+                        watchdog,
+                        RetryPolicy::uniform(1_000_000),
+                        PinApi::Atomic,
+                        threads,
+                        runner,
+                    );
+                }
+                actual.push((format!("{name}/{}/trip", fallback.key()), h));
             }
-            actual.push((format!("{name}/{}/trip", fallback.key()), h));
         }
+        check_pins(runner, &actual, WATCHDOG_PINS);
     }
-    check_pins(&actual, WATCHDOG_PINS);
 }
 
 const REPLAY_PINS: &[(&str, u64)] = &[
@@ -626,37 +664,43 @@ const REPLAY_PINS: &[(&str, u64)] = &[
     ("power8/replay", 0x3ad7aefcc2b735e3),
 ];
 
+/// The recordings run on `runner`; replays always run on OS threads.
 #[test]
 fn record_and_replay_of_every_tier_are_pinned() {
-    let mut actual = Vec::new();
-    for (name, machine) in pin_machines() {
-        let mut h = FNV_OFFSET;
-        for fallback in PIN_TIERS {
-            for threads in [1, 2] {
-                let (sim, counters, wide) =
-                    pin_sim(&machine, fallback, pin_storm(), WatchdogConfig::default());
-                let sched = (threads > 1).then(|| RoundRobin::new(threads));
-                let work = pin_work(counters, wide, PinApi::Atomic, sched);
-                let (recorded, trace) =
-                    sim.record_parallel(threads, RetryPolicy::default(), work).expect("record");
-                let digest = sim.memory_digest();
-                let trace = ScheduleTrace::from_text(&trace.to_text()).expect("trace text");
+    for runner in RUNNERS {
+        let mut actual = Vec::new();
+        for (name, machine) in pin_machines() {
+            let mut h = FNV_OFFSET;
+            for fallback in PIN_TIERS {
+                for threads in [1, 2] {
+                    let storm = pin_storm();
+                    let watchdog = WatchdogConfig::default();
+                    let (sim, counters, wide) =
+                        pin_sim(&machine, fallback, storm, watchdog, runner);
+                    let sched = (threads > 1).then(|| RoundRobin::new(threads));
+                    let work = pin_work(counters, wide, PinApi::Atomic, sched);
+                    let (recorded, trace) =
+                        sim.record_parallel(threads, RetryPolicy::default(), work).expect("record");
+                    let digest = sim.memory_digest();
+                    let trace = ScheduleTrace::from_text(&trace.to_text()).expect("trace text");
 
-                let (sim2, counters2, wide2) =
-                    pin_sim(&machine, fallback, pin_storm(), WatchdogConfig::default());
-                let work = pin_work(counters2, wide2, PinApi::Atomic, None);
-                let replayed = sim2.replay(&trace, RetryPolicy::default(), work).expect("replay");
-                let what = format!("{name} {fallback} x{threads}");
-                assert_eq!(
-                    fold_replayable(0, &recorded),
-                    fold_replayable(0, &replayed),
-                    "{what}: replayed counters"
-                );
-                assert_eq!(digest, sim2.memory_digest(), "{what}: replayed memory");
-                h = fold_replayable(fold_run(h, &recorded, digest), &replayed);
+                    let (sim2, counters2, wide2) =
+                        pin_sim(&machine, fallback, storm, watchdog, Runner::Threads);
+                    let work = pin_work(counters2, wide2, PinApi::Atomic, None);
+                    let replayed =
+                        sim2.replay(&trace, RetryPolicy::default(), work).expect("replay");
+                    let what = format!("{runner:?}: {name} {fallback} x{threads}");
+                    assert_eq!(
+                        fold_replayable(0, &recorded),
+                        fold_replayable(0, &replayed),
+                        "{what}: replayed counters"
+                    );
+                    assert_eq!(digest, sim2.memory_digest(), "{what}: replayed memory");
+                    h = fold_replayable(fold_run(h, &recorded, digest), &replayed);
+                }
             }
+            actual.push((format!("{name}/replay"), h));
         }
-        actual.push((format!("{name}/replay"), h));
+        check_pins(runner, &actual, REPLAY_PINS);
     }
-    check_pins(&actual, REPLAY_PINS);
 }

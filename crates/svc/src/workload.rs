@@ -229,6 +229,9 @@ impl Workload for SvcWorkload {
     fn setup(&self, sim: &Sim) {
         let store = Store::build(sim, &self.params);
         assert!(self.store.set(store).is_ok(), "setup ran twice");
+        // Parallel workers run one at a time under the round-robin
+        // scheduler, so they can run as fibers.
+        sim.declare_cooperative();
     }
 
     fn prepare(&self, threads: u32) {

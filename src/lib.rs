@@ -19,6 +19,8 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use htm_apps as apps;
 pub use htm_core as core;
 pub use htm_hytm as hytm;
