@@ -17,12 +17,9 @@
 
 #![deny(unsafe_code)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use htm_analyze::Gate;
 use htm_exp::{run_spec, specs, RunOpts};
 use htm_fabric::{serve, ChaosPlan, FabricConfig};
-use stamp::Scale;
 
 const USAGE: &str = "usage: htm-exp <command> [options]
 commands:
@@ -94,38 +91,10 @@ fn parse_cli() -> Cli {
         args.next().unwrap_or_else(|| usage_error(&format!("{flag} needs an argument")))
     };
     while let Some(a) = args.next() {
+        if cli.opts.parse_grid_flag(&a, &mut args).unwrap_or_else(|e| usage_error(&e)) {
+            continue;
+        }
         match a.as_str() {
-            "--scale" => {
-                cli.opts.scale = match next(&mut args, "--scale").as_str() {
-                    "tiny" => Scale::Tiny,
-                    "sim" => Scale::Sim,
-                    "full" => Scale::Full,
-                    other => usage_error(&format!("--scale tiny|sim|full (got {other:?})")),
-                };
-                cli.opts.scale_explicit = true;
-            }
-            "--smoke" => {
-                cli.opts.scale = Scale::Tiny;
-                cli.opts.scale_explicit = true;
-            }
-            "--seed" => {
-                cli.opts.seed = next(&mut args, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed needs an integer"));
-            }
-            "--reps" => {
-                cli.opts.reps = next(&mut args, "--reps")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--reps needs an integer"));
-            }
-            "--certify" => cli.opts.certify = true,
-            "--fallback" => {
-                let s = next(&mut args, "--fallback");
-                cli.opts.fallback =
-                    Some(htm_runtime::FallbackPolicy::parse(&s).unwrap_or_else(|| {
-                        usage_error(&format!("--fallback lock|stm|rot|adaptive (got {s:?})"))
-                    }));
-            }
             "--jobs" => {
                 cli.opts.jobs = next(&mut args, "--jobs")
                     .parse()
@@ -156,19 +125,6 @@ fn parse_cli() -> Cli {
                     .unwrap_or_else(|e| usage_error(&e));
                 cli.opts.fabric.get_or_insert_with(FabricConfig::default).chaos = plan;
             }
-            "--sessions" => {
-                cli.opts.svc_sessions = Some(
-                    htm_exp::parse_sessions(&next(&mut args, "--sessions"))
-                        .unwrap_or_else(|e| usage_error(&e)),
-                );
-            }
-            "--skew" => {
-                cli.opts.svc_skew = Some(
-                    htm_exp::parse_skew_permille(&next(&mut args, "--skew"))
-                        .unwrap_or_else(|e| usage_error(&e)),
-                );
-            }
-            "--filter" => cli.opts.filter = Some(next(&mut args, "--filter")),
             "--gate" => {
                 cli.gate =
                     Gate::parse(&next(&mut args, "--gate")).unwrap_or_else(|e| usage_error(&e));
@@ -364,21 +320,26 @@ fn cmd_replay(cli: &Cli) -> i32 {
 }
 
 /// The hidden `worker` command the fabric coordinator spawns: rebuild the
-/// spec's cell grid from the registry (cell builders are deterministic, so
-/// coordinator and worker agree on the grid), connect back, and serve
-/// assignments by content key until told to stop. Exit status does not
-/// matter to the coordinator — only protocol messages do.
+/// spec's cell grid from the registry (cell builders are deterministic, and
+/// the coordinator passes its grid flags, so both agree on the grid),
+/// connect back, and serve assignments by content key until told to stop.
+/// Exit status does not matter to the coordinator — only protocol
+/// messages do.
 fn cmd_worker(args: Vec<String>) -> i32 {
     let mut spec_name = String::new();
     let mut addr = String::new();
     let mut worker_id: u64 = 0;
     let mut heartbeat_ms: u64 = 100;
-    let mut opts = RunOpts { scale_explicit: true, quiet: true, ..RunOpts::default() };
+    let mut opts = RunOpts { quiet: true, ..RunOpts::default() };
     let mut it = args.into_iter();
     let next = |it: &mut dyn Iterator<Item = String>, flag: &str| {
         it.next().unwrap_or_else(|| usage_error(&format!("worker: {flag} needs an argument")))
     };
     while let Some(a) = it.next() {
+        let grid = opts.parse_grid_flag(&a, &mut it);
+        if grid.unwrap_or_else(|e| usage_error(&format!("worker: {e}"))) {
+            continue;
+        }
         match a.as_str() {
             "--spec" => spec_name = next(&mut it, "--spec"),
             "--fabric-addr" => addr = next(&mut it, "--fabric-addr"),
@@ -392,45 +353,6 @@ fn cmd_worker(args: Vec<String>) -> i32 {
                     .parse()
                     .unwrap_or_else(|_| usage_error("worker: --heartbeat-ms needs an integer"));
             }
-            "--scale" => {
-                opts.scale = match next(&mut it, "--scale").as_str() {
-                    "tiny" => Scale::Tiny,
-                    "sim" => Scale::Sim,
-                    "full" => Scale::Full,
-                    other => usage_error(&format!("worker: bad --scale {other:?}")),
-                };
-            }
-            "--seed" => {
-                opts.seed = next(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("worker: --seed needs an integer"));
-            }
-            "--reps" => {
-                opts.reps = next(&mut it, "--reps")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("worker: --reps needs an integer"));
-            }
-            "--certify" => opts.certify = true,
-            "--fallback" => {
-                let s = next(&mut it, "--fallback");
-                opts.fallback = Some(
-                    htm_runtime::FallbackPolicy::parse(&s)
-                        .unwrap_or_else(|| usage_error(&format!("worker: bad --fallback {s:?}"))),
-                );
-            }
-            "--sessions" => {
-                opts.svc_sessions = Some(
-                    htm_exp::parse_sessions(&next(&mut it, "--sessions"))
-                        .unwrap_or_else(|e| usage_error(&format!("worker: {e}"))),
-                );
-            }
-            "--skew" => {
-                opts.svc_skew = Some(
-                    htm_exp::parse_skew_permille(&next(&mut it, "--skew"))
-                        .unwrap_or_else(|e| usage_error(&format!("worker: {e}"))),
-                );
-            }
-            "--filter" => opts.filter = Some(next(&mut it, "--filter")),
             other => usage_error(&format!("worker: unknown option {other}")),
         }
     }
@@ -454,17 +376,7 @@ fn cmd_worker(args: Vec<String>) -> i32 {
         let Some(cell) = cells.iter().find(|c| c.kind.key() == key) else {
             return Err(format!("worker grid has no cell with key {key:?} (drift?)"));
         };
-        match catch_unwind(AssertUnwindSafe(|| cell.kind.compute())) {
-            Ok(r) => Ok(r.to_json()),
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic".into());
-                Err(format!("panic: {msg}"))
-            }
-        }
+        cell.kind.try_compute().map(|r| r.to_json()).map_err(|msg| format!("panic: {msg}"))
     });
     match outcome {
         Ok(()) => 0,

@@ -8,10 +8,11 @@
 //! content-addressed cache sound. [`CellKind::key`] is the stable content
 //! encoding the cache hashes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use htm_analyze::{lint, predict_capacity, Json, Thresholds};
-use htm_core::ConflictPolicy;
+use htm_core::{panic_message, ConflictPolicy};
 use htm_machine::{BgqMode, MachineConfig, Platform, TrackerKind};
 use htm_runtime::{FallbackPolicy, FaultPlan, RetryPolicy, RunStats, Sim, SimConfig};
 use stamp::{BenchId, BenchParams, BenchResult, Scale, Variant};
@@ -574,6 +575,13 @@ impl CellKind {
                 )
             }
         }
+    }
+
+    /// [`CellKind::compute`] with a panic caught and returned as its
+    /// message, so one failing cell cannot take down the pool thread or
+    /// fabric worker that runs it.
+    pub fn try_compute(&self) -> Result<CellResult, String> {
+        catch_unwind(AssertUnwindSafe(|| self.compute())).map_err(|p| panic_message(p.as_ref()))
     }
 
     /// Computes the cell. Pure with respect to process state: builds its

@@ -1,24 +1,27 @@
-//! The parallel cell scheduler.
+//! The cell-execution path.
+//!
+//! [`compute_cells`] is the one way cells run. It reads each cell's entry
+//! in the [content-addressed cache](crate::cache) once, so an interrupted
+//! run resumes and overlapping specs share work, and hands the misses to
+//! a backend. With `--fabric`, `htm-fabric`'s coordinator shards them to
+//! worker processes. Every other miss, including whatever a degraded
+//! fabric could not execute, goes to the in-process pool in the same call.
 //!
 //! Cells are independent by construction (each builds its own `Sim`, owns
-//! its seed, and touches no globals), so the engine spreads them over a
-//! small work-stealing thread pool: every worker owns a deque seeded
-//! round-robin, pops its own work from the back, and steals from other
-//! deques' fronts when empty. Stealing keeps all cores busy even though
-//! cell costs vary by orders of magnitude (yada at 16 threads vs a queue
-//! micro-cell), which a static partition would not.
-//!
-//! Finished cells go through the [content-addressed cache](crate::cache)
-//! before and after computation, so an interrupted run resumes and
-//! overlapping specs share work.
+//! its seed, and touches no globals), so the pool is a few scoped threads
+//! that take the next cell index from one shared atomic cursor: cell costs
+//! vary by orders of magnitude (yada at 16 threads vs a queue
+//! micro-cell), and a thread that finishes a cheap cell just takes the
+//! next one, which a static partition would not allow. The cache pass
+//! runs on the same pool. Every computed cell, whichever backend ran it,
+//! goes through one `finish` step, and one error-and-report path ends the
+//! run.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-use htm_fabric::{run_fabric, FabricConfig, FabricStats, WorkItem};
+use htm_fabric::{run_fabric, FabricConfig, FabricStats};
 
 use crate::cache::{Load, ResultCache};
 use crate::cell::{CellResult, CellSpec};
@@ -66,307 +69,226 @@ pub struct SpecRun {
 /// Locks a scheduler mutex, recovering from poison: a cell panic is
 /// caught per-cell, but a panic at an unlucky instant (OOM inside a
 /// progress print, a broken cache write) can still poison a shared lock —
-/// and the data under these locks (deques of indices, result slots, error
-/// strings) stays valid regardless, so the poison carries no meaning.
-/// Recovering keeps one dead cell from killing the whole spec run.
+/// and the data under these locks (result slots, errors) stays valid
+/// regardless, so the poison carries no meaning. Recovering keeps one dead
+/// cell from killing the whole spec run.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The scheduler's worker count for `jobs` requested over `n` cells.
+/// The pool's thread count for `jobs` requested over `n_cells` cells.
 pub fn effective_jobs(jobs: usize, n_cells: usize) -> usize {
     let auto = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let j = if jobs == 0 { auto } else { jobs };
     j.clamp(1, n_cells.max(1))
 }
 
-/// Computes `cells` in parallel, cache-first. Returns one result per cell
-/// (same order) plus the report. Panics (after all workers drain) if any
-/// cell panicked, carrying the first failing cell's message.
+/// One [`compute_cells`] call: the cells, their result slots, and the
+/// counters every backend reports into.
+struct Run<'a> {
+    spec_name: &'a str,
+    cells: &'a [CellSpec],
+    opts: &'a RunOpts,
+    cache: ResultCache,
+    slots: Mutex<Vec<Option<CellResult>>>,
+    /// Failed cells as `(index, message)`.
+    errors: Mutex<Vec<(usize, String)>>,
+    done: AtomicUsize,
+    stores: AtomicUsize,
+    failed_stores: AtomicUsize,
+}
+
+impl Run<'_> {
+    /// Takes cell `i`'s computed result: stores it (tearing the entry
+    /// when the `--chaos` schedule says so), fills its slot, prints
+    /// progress.
+    fn finish(&self, i: usize, result: CellResult, how: &str) {
+        let key = self.cells[i].kind.key();
+        let seq = self.stores.fetch_add(1, Ordering::Relaxed);
+        let torn = |f: &FabricConfig| f.chaos.torn_store_at(seq);
+        match self.cache.store(&key, &self.cells[i].id, &result) {
+            Ok(()) if self.opts.fabric.as_ref().is_some_and(torn) => {
+                // Chaos: tear the entry just committed, as a crash
+                // mid-write would. The next load must heal it.
+                tear_entry(&self.cache, &key);
+            }
+            Ok(()) => {}
+            Err(e) => {
+                if self.failed_stores.fetch_add(1, Ordering::Relaxed) == 0 {
+                    eprintln!(
+                        "[{}] warning: cache store failed ({e}); results will not be reusable",
+                        self.spec_name
+                    );
+                }
+            }
+        }
+        relock(&self.slots)[i] = Some(result);
+        self.progress(i, how);
+    }
+
+    fn fail(&self, i: usize, msg: String) {
+        relock(&self.errors).push((i, msg));
+    }
+
+    fn progress(&self, i: usize, how: &str) {
+        let k = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        if !self.opts.quiet {
+            let n = self.cells.len();
+            eprintln!("[{}] ({k}/{n}) {} {how}", self.spec_name, self.cells[i].id);
+        }
+    }
+}
+
+/// Computes `cells`, cache-first, over the fabric when `opts.fabric` is
+/// set and in-process otherwise. Returns one result per cell (same order)
+/// plus the report. Panics, after every healthy cell's result is stored,
+/// if any cell failed (panicked, or was quarantined by the fabric),
+/// carrying the first failing cell's message.
 pub fn compute_cells(
     spec_name: &str,
     cells: &[CellSpec],
     opts: &RunOpts,
 ) -> (Vec<CellResult>, EngineReport) {
-    let cache = ResultCache::new(&opts.cache_dir, opts.use_cache);
-    let n = cells.len();
-    let jobs = effective_jobs(opts.jobs, n);
     let start = Instant::now();
+    let run = Run {
+        spec_name,
+        cells,
+        opts,
+        cache: ResultCache::new(&opts.cache_dir, opts.use_cache),
+        slots: Mutex::new(vec![None; cells.len()]),
+        errors: Mutex::new(Vec::new()),
+        done: AtomicUsize::new(0),
+        stores: AtomicUsize::new(0),
+        failed_stores: AtomicUsize::new(0),
+    };
 
-    let slots: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; n]);
-    let computed = AtomicUsize::new(0);
-    let cached = AtomicUsize::new(0);
+    // One pass over the cache, on the pool: hits fill their slots, and
+    // the misses go to a backend below.
+    let misses = Mutex::new(Vec::new());
     let healed = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let store_warned = AtomicUsize::new(0);
-
-    // Round-robin seeding; workers drain their own deque from the back and
-    // steal from others' fronts, so the oldest (often largest) stranded
-    // cells move first.
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, _) in cells.iter().enumerate() {
-        relock(&deques[i % jobs]).push_back(i);
-    }
-
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let deques = &deques;
-            let slots = &slots;
-            let computed = &computed;
-            let cached = &cached;
-            let healed = &healed;
-            let done = &done;
-            let errors = &errors;
-            let store_warned = &store_warned;
-            let cache = &cache;
-            scope.spawn(move || loop {
-                let idx = {
-                    let own = relock(&deques[w]).pop_back();
-                    own.or_else(|| {
-                        (0..jobs).filter(|o| *o != w).find_map(|o| relock(&deques[o]).pop_front())
-                    })
-                };
-                let Some(idx) = idx else { break };
-                let cell = &cells[idx];
-                let key = cell.kind.key();
-                let cell_start = Instant::now();
-                let loaded = match cache.load_checked(&key) {
-                    Load::Hit(r) => Some(r),
-                    Load::Miss => None,
-                    Load::Healed(why) => {
-                        // Corrupt entry quarantined; recompute below and the
-                        // store rewrites a clean one.
-                        healed.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("[{spec_name}] warning: healed corrupt cache entry ({why})");
-                        None
-                    }
-                };
-                let (result, was_cached) = match loaded {
-                    Some(r) => (Some(r), true),
-                    None => {
-                        let r = catch_unwind(AssertUnwindSafe(|| cell.kind.compute()));
-                        match r {
-                            Ok(r) => {
-                                if let Err(e) = cache.store(&key, &cell.id, &r) {
-                                    if store_warned.fetch_add(1, Ordering::Relaxed) == 0 {
-                                        eprintln!(
-                                            "[{spec_name}] warning: cache store failed ({e}); \
-                                             results will not be reusable"
-                                        );
-                                    }
-                                }
-                                (Some(r), false)
-                            }
-                            Err(p) => {
-                                let msg = p
-                                    .downcast_ref::<String>()
-                                    .cloned()
-                                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                                    .unwrap_or_else(|| "non-string panic".into());
-                                relock(errors).push(format!("cell {}: {msg}", cell.id));
-                                (None, false)
-                            }
-                        }
-                    }
-                };
-                if result.is_some() {
-                    if was_cached {
-                        cached.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        computed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let k = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !opts.quiet {
-                    if was_cached {
-                        eprintln!("[{spec_name}] ({k}/{n}) {} (cached)", cell.id);
-                    } else {
-                        eprintln!(
-                            "[{spec_name}] ({k}/{n}) {} {:.1}s",
-                            cell.id,
-                            cell_start.elapsed().as_secs_f64()
-                        );
-                    }
-                }
-                relock(slots)[idx] = result;
-            });
+    on_pool(opts.jobs, &(0..cells.len()).collect::<Vec<_>>(), |i| {
+        match run.cache.load_checked(&cells[i].kind.key()) {
+            Load::Hit(r) => {
+                relock(&run.slots)[i] = Some(r);
+                run.progress(i, "(cached)");
+            }
+            Load::Miss => relock(&misses).push(i),
+            Load::Healed(why) => {
+                // Corrupt entry quarantined; the cell recomputes and its
+                // store rewrites a clean entry.
+                healed.fetch_add(1, Ordering::Relaxed);
+                eprintln!("[{spec_name}] warning: healed corrupt cache entry ({why})");
+                relock(&misses).push(i);
+            }
+        }
+    });
+    let mut misses = misses.into_inner().unwrap_or_else(|p| p.into_inner());
+    misses.sort_unstable();
+    let (cached, computed) = (cells.len() - misses.len(), misses.len());
+    let (local, fabric) = match &opts.fabric {
+        Some(fcfg) => {
+            let (local, report) = on_fabric(&run, misses, fcfg);
+            (local, Some(report))
+        }
+        None => (misses, None),
+    };
+    on_pool(opts.jobs, &local, |i| {
+        let started = Instant::now();
+        match cells[i].kind.try_compute() {
+            Ok(r) => run.finish(i, r, &format!("{:.1}s", started.elapsed().as_secs_f64())),
+            Err(msg) => run.fail(i, msg),
         }
     });
 
-    let mut errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
-    let slots = slots.into_inner().unwrap_or_else(|p| p.into_inner());
-    // A missing slot with no recorded panic means a worker died without
-    // reaching its per-cell recovery (e.g. killed mid-steal): report it as
-    // a named failure rather than unwrapping into an anonymous panic.
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.is_none() && !errors.iter().any(|e| e.contains(&cells[i].id)) {
-            errors.push(format!("cell {}: no result produced", cells[i].id));
-        }
-    }
-    if let Some(first) = errors.first() {
-        panic!("{} cell(s) failed; first: {first}", errors.len());
-    }
-    let results: Vec<CellResult> = slots.into_iter().flatten().collect();
-    let report = EngineReport {
-        total: n,
-        computed: computed.into_inner(),
-        cached: cached.into_inner(),
-        healed: healed.into_inner(),
-        wall_s: start.elapsed().as_secs_f64(),
-        fabric: None,
-    };
-    (results, report)
-}
-
-/// Computes `cells` over the multi-process fabric: cache-first scan, then
-/// lease-based sharding of the misses to worker processes, then an
-/// in-process fallback for anything the fabric could not execute
-/// (degradation), preserving [`compute_cells`]' result order and panic
-/// contract. Quarantined cells (bounded attempts exhausted) panic with
-/// their ids — after every healthy cell's result has been stored, so the
-/// partial run is preserved in the cache.
-pub fn compute_cells_fabric(
-    spec_name: &str,
-    cells: &[CellSpec],
-    opts: &RunOpts,
-    fcfg: &FabricConfig,
-) -> (Vec<CellResult>, EngineReport) {
-    let cache = ResultCache::new(&opts.cache_dir, opts.use_cache);
-    let n = cells.len();
-    let start = Instant::now();
-
-    let mut slots: Vec<Option<CellResult>> = vec![None; n];
-    let mut cached = 0usize;
-    let mut healed = 0usize;
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        match cache.load_checked(&cell.kind.key()) {
-            Load::Hit(r) => {
-                slots[i] = Some(r);
-                cached += 1;
-                if !opts.quiet {
-                    eprintln!("[{spec_name}] ({}/{n}) {} (cached)", i + 1, cell.id);
-                }
-            }
-            Load::Miss => pending.push(i),
-            Load::Healed(why) => {
-                healed += 1;
-                eprintln!("[{spec_name}] warning: healed corrupt cache entry ({why})");
-                pending.push(i);
-            }
-        }
-    }
-
-    let mut computed = 0usize;
-    let mut errors: Vec<String> = Vec::new();
-    let mut fabric_report = FabricReport::default();
-    let mut local: Vec<usize> = Vec::new();
-
-    if !pending.is_empty() {
-        let worker_cmd = worker_command(spec_name, opts, fcfg);
-        match worker_cmd {
-            Some(cmd) => {
-                let items: Vec<WorkItem> = pending
-                    .iter()
-                    .map(|&i| WorkItem { index: i, key: cells[i].kind.key() })
-                    .collect();
-                let outcome = run_fabric(&items, &cmd, fcfg);
-                fabric_report.stats = outcome.stats;
-                fabric_report.degraded = outcome.degraded;
-
-                let mut store_seq = 0usize;
-                let mut store_warned = false;
-                for (pos, payload) in outcome.results.iter().enumerate() {
-                    let Some(json) = payload else { continue };
-                    let i = pending[pos];
-                    match CellResult::from_json(json) {
-                        Ok(r) => {
-                            let key = cells[i].kind.key();
-                            if let Err(e) = cache.store(&key, &cells[i].id, &r) {
-                                if !store_warned {
-                                    store_warned = true;
-                                    eprintln!(
-                                        "[{spec_name}] warning: cache store failed ({e}); \
-                                         results will not be reusable"
-                                    );
-                                }
-                            } else if fcfg.chaos.torn_store_at(store_seq) {
-                                // Chaos: tear the entry we just committed, as
-                                // a crash mid-write would. The next load must
-                                // heal it.
-                                tear_entry(&cache, &key);
-                            }
-                            store_seq += 1;
-                            slots[i] = Some(r);
-                            computed += 1;
-                        }
-                        Err(e) => {
-                            errors.push(format!("cell {}: undecodable result ({e})", cells[i].id));
-                        }
-                    }
-                }
-                for (pos, err) in &outcome.errors {
-                    errors.push(format!("cell {}: {err}", cells[pending[*pos]].id));
-                }
-                local = outcome.unexecuted.iter().map(|&pos| pending[pos]).collect();
-            }
-            None => {
-                // No worker executable resolvable: everything runs local.
-                fabric_report.degraded = true;
-                local = pending.clone();
-            }
-        }
-    }
-
-    if !local.is_empty() {
-        if !opts.quiet {
-            eprintln!(
-                "[{spec_name}] fabric degraded; computing {} cell(s) in-process",
-                local.len()
-            );
-        }
-        let subset: Vec<CellSpec> = local.iter().map(|&i| cells[i].clone()).collect();
-        let (results, sub) = compute_cells(spec_name, &subset, opts);
-        for (&i, r) in local.iter().zip(results) {
-            slots[i] = Some(r);
-        }
-        computed += sub.computed;
-        cached += sub.cached;
-        healed += sub.healed;
-        fabric_report.local_cells = local.len();
-    }
-
-    if let Some(first) = errors.first() {
-        panic!("{} cell(s) failed; first: {first}", errors.len());
-    }
-    for (i, slot) in slots.iter().enumerate() {
-        assert!(slot.is_some(), "cell {}: no result produced", cells[i].id);
-    }
-    let results: Vec<CellResult> = slots.into_iter().flatten().collect();
-    if !opts.quiet {
-        let s = &fabric_report.stats;
+    if let (Some(f), false) = (&fabric, opts.quiet) {
+        let s = &f.stats;
         eprintln!(
             "[{spec_name}] fabric: {} worker(s) spawned, {} lost, {} retries, \
              {} timeouts, {} stale, degraded={}",
-            s.spawned, s.lost, s.retries, s.timeouts, s.stale_results, fabric_report.degraded
+            s.spawned, s.lost, s.retries, s.timeouts, s.stale_results, f.degraded
         );
     }
+    let mut errors = run.errors.into_inner().unwrap_or_else(|p| p.into_inner());
+    let slots = run.slots.into_inner().unwrap_or_else(|p| p.into_inner());
+    // A missing slot with no recorded failure means a backend lost a cell
+    // without reporting it: name it rather than unwrap anonymously.
+    for (i, slot) in slots.iter().enumerate() {
+        if slot.is_none() && !errors.iter().any(|(j, _)| *j == i) {
+            errors.push((i, "no result produced".into()));
+        }
+    }
+    if let Some((i, msg)) = errors.first() {
+        panic!("{} cell(s) failed; first: cell {}: {msg}", errors.len(), cells[*i].id);
+    }
     let report = EngineReport {
-        total: n,
+        total: cells.len(),
+        // Every miss produced a result, or the run panicked above.
         computed,
         cached,
-        healed,
+        healed: healed.into_inner(),
         wall_s: start.elapsed().as_secs_f64(),
-        fabric: Some(fabric_report),
+        fabric,
     };
-    (results, report)
+    (slots.into_iter().flatten().collect(), report)
+}
+
+/// The fabric backend: shards `misses` to worker processes, finishing
+/// each result as it arrives. Returns the cells it could not execute (all
+/// of them when no worker executable resolves) for the pool, plus the
+/// fabric's report.
+fn on_fabric(run: &Run<'_>, misses: Vec<usize>, fcfg: &FabricConfig) -> (Vec<usize>, FabricReport) {
+    let mut report = FabricReport::default();
+    let local = if misses.is_empty() {
+        misses
+    } else if let Some(cmd) = worker_command(run.spec_name, run.opts, fcfg) {
+        let keys: Vec<String> = misses.iter().map(|&i| run.cells[i].kind.key()).collect();
+        let out = run_fabric(&keys, &cmd, fcfg, |pos, json| match CellResult::from_json(&json) {
+            Ok(r) => run.finish(misses[pos], r, "(fabric)"),
+            Err(e) => run.fail(misses[pos], format!("undecodable result ({e})")),
+        });
+        for (pos, err) in out.errors {
+            run.fail(misses[pos], err);
+        }
+        report.stats = out.stats;
+        report.degraded = out.degraded;
+        out.unexecuted.iter().map(|&pos| misses[pos]).collect()
+    } else {
+        // No worker executable resolves: everything runs in-process.
+        report.degraded = true;
+        misses
+    };
+    report.local_cells = local.len();
+    if !local.is_empty() && !run.opts.quiet {
+        eprintln!(
+            "[{}] fabric degraded; computing {} cell(s) in-process",
+            run.spec_name,
+            local.len()
+        );
+    }
+    (local, report)
+}
+
+/// The in-process pool: runs `step` on every index in `todo`, on up to
+/// [`effective_jobs`] scoped threads sharing one cursor into `todo`.
+fn on_pool(jobs: usize, todo: &[usize], step: impl Fn(usize) + Sync) {
+    if todo.is_empty() {
+        return;
+    }
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..effective_jobs(jobs, todo.len()) {
+            scope.spawn(|| {
+                while let Some(&i) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    step(i);
+                }
+            });
+        }
+    });
 }
 
 /// Builds the worker command line for a fabric run: the worker re-derives
-/// the same cell grid from the spec registry, so everything that shapes
-/// cell building must ride on the command line.
+/// the same cell grid from the spec registry, so every grid flag rides
+/// on the command line.
 fn worker_command(spec_name: &str, opts: &RunOpts, fcfg: &FabricConfig) -> Option<Vec<String>> {
     let exe = match &opts.worker_exe {
         Some(p) => p.clone(),
@@ -377,34 +299,10 @@ fn worker_command(spec_name: &str, opts: &RunOpts, fcfg: &FabricConfig) -> Optio
         "worker".into(),
         "--spec".into(),
         spec_name.into(),
-        "--scale".into(),
-        crate::cell::scale_key(opts.scale).into(),
-        "--seed".into(),
-        opts.seed.to_string(),
-        "--reps".into(),
-        opts.reps.to_string(),
         "--heartbeat-ms".into(),
         fcfg.heartbeat_ms.to_string(),
     ];
-    if opts.certify {
-        cmd.push("--certify".into());
-    }
-    if let Some(f) = opts.fallback {
-        cmd.push("--fallback".into());
-        cmd.push(f.key().into());
-    }
-    if let Some(f) = &opts.filter {
-        cmd.push("--filter".into());
-        cmd.push(f.clone());
-    }
-    if let Some(n) = opts.svc_sessions {
-        cmd.push("--sessions".into());
-        cmd.push(n.to_string());
-    }
-    if let Some(z) = opts.svc_skew {
-        cmd.push("--skew".into());
-        cmd.push(z.to_string());
-    }
+    cmd.extend(opts.grid_flags());
     Some(cmd)
 }
 
@@ -426,10 +324,7 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOpts) -> SpecRun {
     if let Some(f) = &eff.filter {
         cells.retain(|c| c.id.contains(f.as_str()));
     }
-    let (results, report) = match &eff.fabric {
-        Some(fcfg) => compute_cells_fabric(spec.name, &cells, &eff, fcfg),
-        None => compute_cells(spec.name, &cells, &eff),
-    };
+    let (results, report) = compute_cells(spec.name, &cells, &eff);
     let set = ResultSet { cells: &cells, results: &results };
     let mut sink = Sink::new();
     if filtered {
@@ -455,6 +350,8 @@ fn render_generic(name: &str, set: &ResultSet<'_>, sink: &mut Sink) {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
     use crate::cell::{CellKind, QueueSpec};
 
@@ -529,6 +426,40 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(report.computed, 1);
         let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn degraded_fabric_run_reads_each_cache_entry_once() {
+        // Cell 0 is cached. Each other cell's entry is stuck: a directory
+        // that fails to load but cannot be quarantined aside (its
+        // `.json.corrupt` name is taken by a non-empty directory), so every
+        // read of it reports a heal. The unspawnable worker sends all
+        // three misses back to the pool, and `healed == 3` shows that the
+        // pool computed them without reading their entries again.
+        let dir = std::env::temp_dir().join(format!("htm-exp-engine-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = queue_cells(4);
+        let cache = ResultCache::new(&dir, true);
+        cache.store(&cells[0].kind.key(), &cells[0].id, &cells[0].kind.compute()).unwrap();
+        for cell in &cells[1..] {
+            let path = cache.path_for(&cell.kind.key());
+            std::fs::create_dir_all(&path).unwrap();
+            std::fs::create_dir_all(path.with_extension("json.corrupt").join("taken")).unwrap();
+        }
+        let opts = RunOpts {
+            cache_dir: dir.clone(),
+            quiet: true,
+            worker_exe: Some("/nonexistent/htm-exp".into()),
+            fabric: Some(FabricConfig::default()),
+            ..RunOpts::default()
+        };
+        let (results, report) = compute_cells("t", &cells, &opts);
+        let fabric = report.fabric.expect("fabric report present");
+        assert!(fabric.degraded);
+        assert_eq!((report.cached, report.healed), (1, 3));
+        assert_eq!((report.computed, fabric.local_cells), (3, 3));
+        assert_eq!(results, compute_cells("t", &cells, &no_cache_opts()).0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   Every cell is self-contained (its seed is derived from the root seed
 //!   at build time) and computes without touching global state, so cells
 //!   run on any OS thread in any order.
-//! * [`engine`] — a work-stealing scheduler that spreads cells over host
-//!   cores; each cell builds its own `Sim`. With `--fabric` the engine
-//!   instead shards cells to worker *processes* through `htm-fabric`'s
-//!   crash-recovering coordinator (lease-based retry, per-cell timeouts,
-//!   graceful in-process degradation).
+//! * [`engine`] — one cell-execution path with two backends: an
+//!   in-process thread pool that spreads cells over host cores (each cell
+//!   builds its own `Sim`) and, with `--fabric`, worker *processes* behind
+//!   `htm-fabric`'s crash-recovering coordinator (lease-based retry,
+//!   per-cell timeouts, and graceful degradation to the pool).
 //! * [`cache`] — a content-addressed, self-healing result cache under
 //!   `target/results/cache/`: re-running a spec reuses every finished
 //!   cell, so an interrupted grid resumes where it stopped, and specs that
@@ -47,7 +47,6 @@ pub mod sink;
 pub mod spec;
 pub mod specs;
 
-pub use args::{parse_sessions, parse_skew_permille};
 pub use cache::{Load, ResultCache};
 pub use cell::{CellKind, CellResult, CellSpec, MachineTweak, StampCell, SvcCell, SvcMode};
 pub use engine::{run_spec, EngineReport, FabricReport, SpecRun};

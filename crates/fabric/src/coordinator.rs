@@ -19,8 +19,9 @@
 //!   lost with no respawn budget left, the coordinator returns the
 //!   remaining items as *unexecuted* so the caller can fall back to
 //!   in-process execution instead of failing the run.
-//! * **Dedup** — items with identical content keys are computed once and
-//!   fanned out, so overlapping grids never pay twice in one run.
+//! * **Streaming** — each result goes to the caller's callback the moment
+//!   it arrives, so a run interrupted mid-grid keeps everything it
+//!   finished.
 //!
 //! The coordinator is transport-agnostic about who serves the work: it
 //! spawns `worker_cmd` processes (appending `--fabric-addr`/`--fabric-id`)
@@ -44,17 +45,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::proto::{send, Directive, ToCoordinator, ToWorker};
-
-/// One unit of schedulable work: the caller's index plus the cell's
-/// content key (equal keys ⇒ identical results; the coordinator dedups on
-/// it).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkItem {
-    /// Caller-side index ([`FabricOutcome::results`] is addressed by it).
-    pub index: usize,
-    /// Content key (also shipped to the worker for cross-checking).
-    pub key: String,
-}
 
 /// Fabric tuning knobs. The defaults are production-shaped; chaos tests
 /// shrink the timeouts to keep wall-clock down.
@@ -131,19 +121,17 @@ pub struct FabricStats {
     pub quarantined: usize,
 }
 
-/// What a fabric run produced.
+/// How a fabric run ended. The results themselves went to the caller's
+/// callback as they arrived.
 #[derive(Clone, Debug, Default)]
 pub struct FabricOutcome {
-    /// One slot per input item (same order): the serialized result, or
-    /// `None` for quarantined/unexecuted items.
-    pub results: Vec<Option<Json>>,
     /// Quarantined items as `(input position, last error)`.
     pub errors: Vec<(usize, String)>,
     /// Input positions never executed because the fabric degraded (no
     /// workers could be spawned or all were lost); the caller should run
     /// these in-process.
     pub unexecuted: Vec<usize>,
-    /// Whether the run degraded (any `unexecuted` ⇒ `true`).
+    /// Whether the run degraded (`unexecuted` is not empty).
     pub degraded: bool,
     /// Counters.
     pub stats: FabricStats,
@@ -168,11 +156,9 @@ enum TaskState {
     Quarantined,
 }
 
+/// One input item's scheduling state; its position in `Fabric::tasks` is
+/// the wire-visible cell id.
 struct Task {
-    /// Representative input position (the wire-visible cell id).
-    rep: usize,
-    /// All input positions sharing this key (fan-out on completion).
-    positions: Vec<usize>,
     key: String,
     attempts: u32,
     state: TaskState,
@@ -201,79 +187,77 @@ struct Fabric<'a> {
     worker_cmd: &'a [String],
     addr: String,
     tasks: Vec<Task>,
-    rep_to_task: HashMap<usize, usize>,
     workers: HashMap<u64, WorkerState>,
     next_worker_id: u64,
     open: usize,
     rng: SmallRng,
     stats: FabricStats,
-    results: Vec<Option<Json>>,
+    on_result: &'a mut dyn FnMut(usize, Json),
 }
 
-/// Runs `items` over the fabric. `worker_cmd` is the worker executable and
-/// its leading arguments (`--fabric-addr <addr> --fabric-id <n>` are
-/// appended); an empty command spawns nothing and serves only externally
-/// attached workers (the test harness), degrading if none attach in time.
-pub fn run_fabric(items: &[WorkItem], worker_cmd: &[String], cfg: &FabricConfig) -> FabricOutcome {
-    run_fabric_with(items, worker_cmd, cfg, |_| {})
+/// Runs the items with content keys `keys` over the fabric, passing each
+/// result to `on_result(position, result)` as it arrives (at most once per
+/// position; equal keys are not merged). `worker_cmd` is the worker
+/// executable and its leading arguments (`--fabric-addr <addr>
+/// --fabric-id <n>` are appended); an empty command spawns nothing and
+/// serves only externally attached workers (the test harness), degrading
+/// if none attach in time.
+pub fn run_fabric(
+    keys: &[String],
+    worker_cmd: &[String],
+    cfg: &FabricConfig,
+    on_result: impl FnMut(usize, Json),
+) -> FabricOutcome {
+    run_fabric_with(keys, worker_cmd, cfg, |_| {}, on_result)
 }
 
 /// [`run_fabric`] with a hook that receives the coordinator's listen
 /// address once it is bound — the rendezvous the in-crate chaos tests use
 /// to attach in-thread protocol workers without child processes.
 pub fn run_fabric_with(
-    items: &[WorkItem],
+    keys: &[String],
     worker_cmd: &[String],
     cfg: &FabricConfig,
     on_listen: impl FnOnce(&str),
+    mut on_result: impl FnMut(usize, Json),
 ) -> FabricOutcome {
-    if items.is_empty() {
+    if keys.is_empty() {
         return FabricOutcome::default();
     }
-
-    // Dedup identical keys into tasks; the representative index is the
-    // wire-visible cell id.
-    let mut by_key: HashMap<&str, usize> = HashMap::new();
-    let mut tasks: Vec<Task> = Vec::new();
-    let now = Instant::now();
-    for (pos, item) in items.iter().enumerate() {
-        match by_key.get(item.key.as_str()) {
-            Some(&t) => tasks[t].positions.push(pos),
-            None => {
-                by_key.insert(item.key.as_str(), tasks.len());
-                tasks.push(Task {
-                    rep: pos,
-                    positions: vec![pos],
-                    key: item.key.clone(),
-                    attempts: 0,
-                    state: TaskState::Ready,
-                    ready_at: now,
-                    last_error: String::new(),
-                });
-            }
-        }
-    }
-
+    let degraded = || FabricOutcome {
+        unexecuted: (0..keys.len()).collect(),
+        degraded: true,
+        ..FabricOutcome::default()
+    };
     let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
-        return degraded_outcome(tasks, items.len());
+        return degraded();
     };
     let Ok(addr) = listener.local_addr().map(|a| a.to_string()) else {
-        return degraded_outcome(tasks, items.len());
+        return degraded();
     };
     on_listen(&addr);
 
+    let now = Instant::now();
     let mut fab = Fabric {
         cfg,
         worker_cmd,
         addr,
-        rep_to_task: tasks.iter().enumerate().map(|(t, task)| (task.rep, t)).collect(),
-        open: tasks.len(),
-        tasks,
+        tasks: keys
+            .iter()
+            .map(|key| Task {
+                key: key.clone(),
+                attempts: 0,
+                state: TaskState::Ready,
+                ready_at: now,
+                last_error: String::new(),
+            })
+            .collect(),
+        open: keys.len(),
         workers: HashMap::new(),
         next_worker_id: 0,
         rng: SmallRng::seed_from_u64(cfg.seed),
         stats: FabricStats::default(),
-        results: vec![None; items.len()],
+        on_result: &mut on_result,
     };
 
     let (tx, rx) = channel::<Event>();
@@ -362,33 +346,15 @@ pub fn run_fabric_with(
     }
 
     // Classify what never finished.
-    let mut out =
-        FabricOutcome { results: fab.results, stats: fab.stats, ..FabricOutcome::default() };
-    for task in &fab.tasks {
+    let mut out = FabricOutcome { stats: fab.stats, ..FabricOutcome::default() };
+    for (pos, task) in fab.tasks.iter().enumerate() {
         match task.state {
             TaskState::Done => {}
-            TaskState::Quarantined => {
-                for &pos in &task.positions {
-                    out.errors.push((pos, task.last_error.clone()));
-                }
-            }
-            _ => {
-                out.unexecuted.extend(task.positions.iter().copied());
-                out.degraded = true;
-            }
+            TaskState::Quarantined => out.errors.push((pos, task.last_error.clone())),
+            _ => out.unexecuted.push(pos),
         }
     }
-    out.unexecuted.sort_unstable();
-    out.errors.sort_by_key(|(pos, _)| *pos);
-    out
-}
-
-fn degraded_outcome(tasks: Vec<Task>, n: usize) -> FabricOutcome {
-    let mut out = FabricOutcome { results: vec![None; n], degraded: true, ..Default::default() };
-    for task in &tasks {
-        out.unexecuted.extend(task.positions.iter().copied());
-    }
-    out.unexecuted.sort_unstable();
+    out.degraded = !out.unexecuted.is_empty();
     out
 }
 
@@ -488,23 +454,17 @@ impl Fabric<'_> {
             }
             ToCoordinator::Result { cell, result, .. } => {
                 self.release_lease_for(wid, cell);
-                match self.rep_to_task.get(&cell).copied() {
-                    Some(t) => match self.tasks[t].state {
-                        TaskState::Done => self.stats.stale_results += 1,
-                        // A late result can even rescue a quarantined cell
-                        // (its `open` slot was already closed).
-                        TaskState::Quarantined => self.complete(t, result, false),
-                        _ => self.complete(t, result, true),
-                    },
-                    None => self.stats.stale_results += 1,
+                match self.tasks.get(cell).map(|t| t.state) {
+                    None | Some(TaskState::Done) => self.stats.stale_results += 1,
+                    // A late result can even rescue a quarantined cell
+                    // (its `open` slot was already closed).
+                    Some(state) => self.complete(cell, result, state != TaskState::Quarantined),
                 }
             }
             ToCoordinator::CellError { cell, error, .. } => {
                 self.release_lease_for(wid, cell);
-                if let Some(t) = self.rep_to_task.get(&cell).copied() {
-                    if self.tasks[t].state == TaskState::Leased {
-                        self.requeue_or_quarantine(t, error);
-                    }
+                if self.tasks.get(cell).is_some_and(|t| t.state == TaskState::Leased) {
+                    self.requeue_or_quarantine(cell, error);
                 }
             }
         }
@@ -513,7 +473,7 @@ impl Fabric<'_> {
     fn release_lease_for(&mut self, wid: u64, cell: usize) {
         if let Some(w) = self.workers.get_mut(&wid) {
             w.last_seen = Instant::now();
-            if matches!(w.lease, Some((t, _, _)) if self.tasks[t].rep == cell) {
+            if matches!(w.lease, Some((t, _, _)) if t == cell) {
                 w.lease = None;
             }
         }
@@ -521,9 +481,7 @@ impl Fabric<'_> {
 
     fn complete(&mut self, t: usize, result: Json, count_open: bool) {
         self.tasks[t].state = TaskState::Done;
-        for &pos in &self.tasks[t].positions {
-            self.results[pos] = Some(result.clone());
-        }
+        (self.on_result)(t, result);
         if count_open {
             self.open -= 1;
         }
@@ -659,7 +617,7 @@ impl Fabric<'_> {
             }
             let attempt = self.tasks[t].attempts;
             let msg = ToWorker::Assign {
-                cell: self.tasks[t].rep,
+                cell: t,
                 attempt,
                 key: self.tasks[t].key.clone(),
                 chaos: directive,

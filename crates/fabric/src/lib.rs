@@ -15,7 +15,7 @@
 //! | Worker dies silently | heartbeat liveness timeout | [`coordinator`], [`worker`] |
 //! | Cell keeps failing | bounded attempts, then quarantine + partial report | [`coordinator`] |
 //! | No worker spawns at all | graceful degradation to in-process execution | [`coordinator`] |
-//! | Duplicate cells in a grid | in-flight dedup by content key, result fan-out | [`coordinator`] |
+//! | Coordinator interrupted mid-grid | each result streams to the caller on arrival | [`coordinator`] |
 //!
 //! Failure handling is only trustworthy if it is *exercised*, so the crate
 //! ships a deterministic chaos harness ([`chaos`]): seeded schedules of
@@ -26,9 +26,9 @@
 //! *how many times*.
 //!
 //! The crate is deliberately ignorant of experiment specifics: work items
-//! are `(index, content key)` pairs and results are opaque [`Json`]
-//! payloads, so `htm-exp` owns serialization and cell semantics while this
-//! crate owns scheduling and recovery.
+//! are distinct content keys addressed by position, and results are
+//! opaque [`Json`] payloads, so `htm-exp` owns serialization, caching and
+//! cell semantics while this crate owns scheduling and recovery.
 //!
 //! [`Json`]: htm_analyze::Json
 
@@ -42,14 +42,16 @@ pub mod worker;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan};
 pub use coordinator::{
-    backoff_ms, run_fabric, run_fabric_with, FabricConfig, FabricOutcome, FabricStats, WorkItem,
+    backoff_ms, run_fabric, run_fabric_with, FabricConfig, FabricOutcome, FabricStats,
 };
 pub use proto::{Directive, ToCoordinator, ToWorker};
 pub use worker::{serve, CHAOS_EXIT};
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::channel;
+    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     use htm_analyze::Json;
@@ -58,8 +60,8 @@ mod tests {
 
     use super::*;
 
-    fn items(n: usize) -> Vec<WorkItem> {
-        (0..n).map(|i| WorkItem { index: i, key: format!("cell-{i}") }).collect()
+    fn keys(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("cell-{i}")).collect()
     }
 
     fn quick_cfg() -> FabricConfig {
@@ -80,19 +82,49 @@ mod tests {
     }
 
     /// The result payload thread workers report: `{"key": <cell key>}`,
-    /// so tests can check fan-out content.
+    /// so tests can check which cell a result belongs to.
     fn payload(key: &str) -> Json {
         Json::Obj(vec![("key".into(), Json::str(key))])
+    }
+
+    /// Files a result the callback received under its position; a
+    /// position must never be reported twice.
+    fn collect(results: &mut [Option<Json>], pos: usize, r: Json) {
+        assert!(results[pos].replace(r).is_none(), "position {pos} reported twice");
+    }
+
+    /// [`run_fabric`] with the results collected by position.
+    fn run_collected(
+        work: &[String],
+        worker_cmd: &[String],
+        cfg: &FabricConfig,
+    ) -> (FabricOutcome, Vec<Option<Json>>) {
+        let mut results = vec![None; work.len()];
+        let out = run_fabric(work, worker_cmd, cfg, |pos, r| collect(&mut results, pos, r));
+        (out, results)
+    }
+
+    /// [`run_external_with`] with the results collected by position.
+    fn run_external(
+        work: &[String],
+        cfg: &FabricConfig,
+        n: usize,
+        compute: impl Fn(u64, usize, &str) -> Result<Json, String> + Clone + Send + 'static,
+    ) -> (FabricOutcome, Vec<Option<Json>>) {
+        let mut results = vec![None; work.len()];
+        let out = run_external_with(work, cfg, n, compute, |pos, r| collect(&mut results, pos, r));
+        (out, results)
     }
 
     /// Runs the coordinator in external-worker mode with `n` in-thread
     /// [`serve`] workers attached at the listen address — the whole lease
     /// machinery over real sockets, no child processes.
-    fn run_external(
-        work: &[WorkItem],
+    fn run_external_with(
+        work: &[String],
         cfg: &FabricConfig,
         n: usize,
         compute: impl Fn(u64, usize, &str) -> Result<Json, String> + Clone + Send + 'static,
+        on_result: impl FnMut(usize, Json),
     ) -> FabricOutcome {
         let (addr_tx, addr_rx) = channel::<String>();
         let handles: Vec<_> = (0..n)
@@ -120,36 +152,42 @@ mod tests {
                 let _ = h.join();
             }
         });
-        let out = run_fabric_with(work, &[], cfg, move |addr| {
-            let _ = addr_tx.send(addr.to_string());
-        });
+        let out = run_fabric_with(
+            work,
+            &[],
+            cfg,
+            move |addr| {
+                let _ = addr_tx.send(addr.to_string());
+            },
+            on_result,
+        );
         let _ = relay.join();
         out
     }
 
     #[test]
     fn empty_work_is_a_noop() {
-        let out = run_fabric(&[], &["true".into()], &quick_cfg());
-        assert!(out.results.is_empty());
+        let (out, results) = run_collected(&[], &["true".into()], &quick_cfg());
+        assert!(results.is_empty());
         assert!(!out.degraded);
         assert_eq!(out.stats, FabricStats::default());
     }
 
     #[test]
     fn unspawnable_worker_degrades_cleanly() {
-        let out =
-            run_fabric(&items(3), &["/nonexistent/htm-exp-worker-binary".into()], &quick_cfg());
+        let (out, results) =
+            run_collected(&keys(3), &["/nonexistent/htm-exp-worker-binary".into()], &quick_cfg());
         assert!(out.degraded, "missing binary must degrade, not hang");
         assert_eq!(out.unexecuted, vec![0, 1, 2]);
         assert!(out.errors.is_empty());
-        assert!(out.results.iter().all(Option::is_none));
+        assert!(results.iter().all(Option::is_none));
     }
 
     #[test]
     fn no_external_workers_degrades_after_connect_window() {
         let cfg = FabricConfig { connect_wait_ms: 100, ..quick_cfg() };
         let start = Instant::now();
-        let out = run_fabric(&items(2), &[], &cfg);
+        let (out, _) = run_collected(&keys(2), &[], &cfg);
         assert!(out.degraded);
         assert_eq!(out.unexecuted, vec![0, 1]);
         assert!(start.elapsed() < Duration::from_secs(5), "degradation must be prompt, not a hang");
@@ -157,11 +195,11 @@ mod tests {
 
     #[test]
     fn clean_run_completes_all_cells() {
-        let out = run_external(&items(6), &quick_cfg(), 2, |_, _, key| Ok(payload(key)));
+        let (out, results) = run_external(&keys(6), &quick_cfg(), 2, |_, _, key| Ok(payload(key)));
         assert!(!out.degraded);
         assert!(out.errors.is_empty());
-        assert_eq!(out.results.len(), 6);
-        for (i, r) in out.results.iter().enumerate() {
+        assert_eq!(results.len(), 6);
+        for (i, r) in results.iter().enumerate() {
             let r = r.as_ref().expect("every cell computed");
             assert_eq!(r.get("key").and_then(Json::as_str), Some(format!("cell-{i}").as_str()));
         }
@@ -170,31 +208,36 @@ mod tests {
     }
 
     #[test]
-    fn dedup_computes_shared_keys_once_and_fans_out() {
-        let work = vec![
-            WorkItem { index: 0, key: "a".into() },
-            WorkItem { index: 1, key: "b".into() },
-            WorkItem { index: 2, key: "a".into() },
-            WorkItem { index: 3, key: "a".into() },
-        ];
-        let out = run_external(&work, &quick_cfg(), 2, |_, _, key| Ok(payload(key)));
-        assert!(!out.degraded);
-        assert_eq!(out.stats.assignments, 2, "two distinct keys ⇒ two assignments");
-        for pos in [0, 2, 3] {
-            let r = out.results[pos].as_ref().expect("fanned out");
-            assert_eq!(r.get("key").and_then(Json::as_str), Some("a"));
-        }
-        assert_eq!(out.results[1].as_ref().unwrap().get("key").and_then(Json::as_str), Some("b"));
+    fn each_result_reaches_the_callback_before_the_next_assignment() {
+        // One worker computes the cells in order, and the coordinator
+        // passes a result on before it hands out the next cell: when the
+        // worker computes cell i, the callback has received exactly i.
+        let received = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (r, s) = (Arc::clone(&received), Arc::clone(&seen));
+        let out = run_external_with(
+            &keys(5),
+            &quick_cfg(),
+            1,
+            move |_, cell, key| {
+                s.lock().unwrap().push((cell, r.load(Ordering::SeqCst)));
+                Ok(payload(key))
+            },
+            |_, _| {
+                received.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert!(!out.degraded && out.errors.is_empty());
+        assert_eq!(received.load(Ordering::SeqCst), 5);
+        assert_eq!(*seen.lock().unwrap(), (0..5).map(|i| (i, i)).collect::<Vec<_>>());
     }
 
     #[test]
     fn transient_errors_are_retried_with_bounded_attempts() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
         let failures = Arc::new(AtomicUsize::new(0));
         let f = Arc::clone(&failures);
         // cell-1 fails twice, then succeeds; everything else is clean.
-        let out = run_external(&items(3), &quick_cfg(), 2, move |_, _, key| {
+        let (out, results) = run_external(&keys(3), &quick_cfg(), 2, move |_, _, key| {
             if key == "cell-1" && f.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err("transient".into())
             } else {
@@ -203,7 +246,7 @@ mod tests {
         });
         assert!(!out.degraded);
         assert!(out.errors.is_empty(), "transient failure recovered: {:?}", out.errors);
-        assert!(out.results.iter().all(Option::is_some));
+        assert!(results.iter().all(Option::is_some));
         assert_eq!(out.stats.retries, 2);
         assert!(out.stats.quarantined == 0);
     }
@@ -211,7 +254,7 @@ mod tests {
     #[test]
     fn persistent_failure_quarantines_with_partial_results() {
         let cfg = quick_cfg();
-        let out = run_external(&items(3), &cfg, 2, |_, _, key| {
+        let (out, results) = run_external(&keys(3), &cfg, 2, |_, _, key| {
             if key == "cell-2" {
                 Err("deterministic bug".into())
             } else {
@@ -226,8 +269,8 @@ mod tests {
         // Bounded: exactly max_attempts assignments for the bad cell.
         assert_eq!(out.stats.retries as u32, cfg.max_attempts - 1);
         // The healthy cells still report (the partial-result guarantee).
-        assert!(out.results[0].is_some() && out.results[1].is_some());
-        assert!(out.results[2].is_none());
+        assert!(results[0].is_some() && results[1].is_some());
+        assert!(results[2].is_none());
     }
 
     #[test]
@@ -238,10 +281,10 @@ mod tests {
             chaos: ChaosPlan::none().event(0, ChaosAction::KillAssignee),
             ..quick_cfg()
         };
-        let out = run_external(&items(4), &cfg, 2, |_, _, key| Ok(payload(key)));
+        let (out, results) = run_external(&keys(4), &cfg, 2, |_, _, key| Ok(payload(key)));
         assert!(!out.degraded);
         assert!(out.errors.is_empty());
-        assert!(out.results.iter().all(Option::is_some), "killed lease must be reclaimed");
+        assert!(results.iter().all(Option::is_some), "killed lease must be reclaimed");
         // No retry assertion: the dying worker's result can race in ahead
         // of the reassignment, legitimately completing the cell.
         assert!(out.stats.lost >= 1);
@@ -256,10 +299,10 @@ mod tests {
             chaos: ChaosPlan::none().event(0, ChaosAction::Stall),
             ..quick_cfg()
         };
-        let out = run_external(&items(3), &cfg, 2, |_, _, key| Ok(payload(key)));
+        let (out, results) = run_external(&keys(3), &cfg, 2, |_, _, key| Ok(payload(key)));
         assert!(!out.degraded);
         assert!(out.errors.is_empty());
-        assert!(out.results.iter().all(Option::is_some));
+        assert!(results.iter().all(Option::is_some));
         assert_eq!(out.stats.timeouts, 1, "stall must be reclaimed by the lease deadline");
         assert!(out.stats.lost >= 1);
     }
@@ -276,10 +319,10 @@ mod tests {
                 .event(2, ChaosAction::KillAssignee),
             ..quick_cfg()
         };
-        let out = run_external(&items(8), &cfg, 4, |_, _, key| Ok(payload(key)));
+        let (out, results) = run_external(&keys(8), &cfg, 4, |_, _, key| Ok(payload(key)));
         assert!(!out.degraded);
         assert!(out.errors.is_empty());
-        assert!(out.results.iter().all(Option::is_some));
+        assert!(results.iter().all(Option::is_some));
         assert!(out.stats.lost >= 3);
     }
 
@@ -295,7 +338,7 @@ mod tests {
             ..quick_cfg()
         };
         let start = Instant::now();
-        let out = run_external(&items(4), &cfg, 1, |_, _, key| Ok(payload(key)));
+        let (out, _) = run_external(&keys(4), &cfg, 1, |_, _, key| Ok(payload(key)));
         assert!(out.degraded, "no workers left and no respawn budget ⇒ degrade");
         assert!(!out.unexecuted.is_empty());
         assert!(start.elapsed() < Duration::from_secs(10), "degradation must not hang");

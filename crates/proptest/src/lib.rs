@@ -330,8 +330,11 @@ macro_rules! __proptest_impl {
                         __case,
                     );
                     $( let $arg = $crate::strategy::Strategy::generate(&($strat), &mut __rng); )*
-                    let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (|| { $body ::std::result::Result::Ok(()) })();
+                    let __body = || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                        $body
+                        ::std::result::Result::Ok(())
+                    };
+                    let __result = __body();
                     if let ::std::result::Result::Err(__e) = __result {
                         panic!(
                             "proptest '{}' failed at case {}: {}",

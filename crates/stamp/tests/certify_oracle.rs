@@ -7,7 +7,7 @@
 //! the sequential reference.
 
 use htm_machine::Platform;
-use htm_runtime::{FallbackPolicy, FaultPlan};
+use htm_runtime::{FallbackPolicy, FaultPlan, RetryPolicy};
 use stamp::{run_bench_oracle, BenchId, BenchParams, Scale, Variant};
 
 fn oracle_params(threads: u32) -> BenchParams {
@@ -89,7 +89,9 @@ fn every_fallback_tier_certifies_and_matches_the_sequential_digest() {
 fn software_tiers_certify_under_a_fault_storm() {
     // A storm forces real traffic through the software commit protocols;
     // the committed schedule must still serialize and the digest must
-    // still match the sequential reference.
+    // still match the sequential reference. With no hardware retries,
+    // every aborted hardware attempt (half of all begins) enters the
+    // software tier, whatever the threads' interleaving.
     let storm = FaultPlan::none().transient_abort_per_begin(0.5).lock_release_delay(100);
     for (platform, fb) in [
         (Platform::IntelCore, FallbackPolicy::Stm),
@@ -97,7 +99,12 @@ fn software_tiers_certify_under_a_fault_storm() {
         (Platform::Power8, FallbackPolicy::Rot),
     ] {
         for id in [BenchId::Ssca2, BenchId::Intruder, BenchId::Genome] {
-            let params = BenchParams { faults: storm, fallback: fb, ..oracle_params(4) };
+            let params = BenchParams {
+                faults: storm,
+                fallback: fb,
+                policy: RetryPolicy::uniform(0),
+                ..oracle_params(4)
+            };
             let stats = run_bench_oracle(id, Variant::Modified, &platform.config(), &params);
             let report = stats.certify.as_ref().expect("oracle certifies");
             assert!(report.ok(), "{platform}/{id} under {fb} storm:\n{report}");

@@ -16,11 +16,9 @@ fn main() {
         let sim = Sim::of(Platform::Zec12.config());
         let base = run_queue_bench(&sim, QueueImpl::LockFree, threads, 1000);
         print!("{threads:>2} threads: ");
-        for imp in [
-            QueueImpl::NoRetryTm,
-            QueueImpl::OptRetryTm { retries: 6 },
-            QueueImpl::ConstrainedTm,
-        ] {
+        for imp in
+            [QueueImpl::NoRetryTm, QueueImpl::OptRetryTm { retries: 6 }, QueueImpl::ConstrainedTm]
+        {
             let sim = Sim::of(Platform::Zec12.config());
             let r = run_queue_bench(&sim, imp, threads, 1000);
             print!("{imp} {:.2}x  ", r.cycles as f64 / base.cycles as f64);

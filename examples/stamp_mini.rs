@@ -16,12 +16,7 @@ fn main() {
         let params = BenchParams { threads: 4, scale: Scale::Tiny, ..Default::default() };
         let orig = run_bench(BenchId::VacationHigh, Variant::Original, &machine, &params);
         let modi = run_bench(BenchId::VacationHigh, Variant::Modified, &machine, &params);
-        println!(
-            "{:<20} {:>9.2}x {:>9.2}x",
-            platform.to_string(),
-            orig.speedup(),
-            modi.speedup()
-        );
+        println!("{:<20} {:>9.2}x {:>9.2}x", platform.to_string(), orig.speedup(), modi.speedup());
     }
     println!("\nEvery run is verified: table rows satisfy avail + reserved == total.");
 }

@@ -17,7 +17,10 @@ fn main() {
         let l = TlsLoop::create(&sim, kernel, 512);
         let (seq, seq_sum) = l.run_sequential(&sim);
         for use_suspend in [false, true] {
-            print!("  {:<25}", if use_suspend { "with suspend/resume:" } else { "without suspend/resume:" });
+            print!(
+                "  {:<25}",
+                if use_suspend { "with suspend/resume:" } else { "without suspend/resume:" }
+            );
             for t in [2u32, 4, 6] {
                 let sim2 = Sim::of(Platform::Power8.config());
                 let l2 = TlsLoop::create(&sim2, kernel, 512);

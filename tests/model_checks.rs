@@ -31,7 +31,7 @@ fn check_against_model(ops: &[MapOp], use_tree: bool) {
     let mut ctx = sim.seq_ctx();
     let mut model = std::collections::BTreeMap::new();
     if use_tree {
-        let t = ctx.atomic(|tx| TmRbTree::create(tx));
+        let t = ctx.atomic(TmRbTree::create);
         for op in ops {
             ctx.atomic(|tx| match *op {
                 MapOp::Insert(k, v) => {
@@ -61,7 +61,7 @@ fn check_against_model(ops: &[MapOp], use_tree: bool) {
             assert_eq!(t.len(tx)?, model.len() as u64);
             let mut expect = model.iter();
             t.for_each(tx, |k, v| {
-                assert_eq!(Some((&k, &v)), expect.next().map(|(a, b)| (a, b)));
+                assert_eq!(Some((&k, &v)), expect.next());
                 Ok(())
             })
         });
@@ -115,7 +115,7 @@ proptest! {
     fn sorted_list_matches_model(ops in map_ops()) {
         let sim = Sim::of(Platform::Zec12.config());
         let mut ctx = sim.seq_ctx();
-        let list = ctx.atomic(|tx| TmList::create(tx));
+        let list = ctx.atomic(TmList::create);
         let mut model = std::collections::BTreeMap::new();
         for op in &ops {
             ctx.atomic(|tx| match *op {
