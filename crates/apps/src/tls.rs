@@ -164,18 +164,14 @@ impl TlsLoop {
                     // transaction — reading the ordering variable
                     // non-transactionally causes no data conflict.
                     tx.suspend()?;
-                    let mut polls = 0u64;
+                    let mut wait = htm_core::coop::Wait::new(64);
                     loop {
                         let turn = tx.load(self.next_iter)?; // suspended: non-transactional
                         if turn == i64v {
                             break;
                         }
                         tx.tick(5);
-                        polls += 1;
-                        if polls.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        }
-                        std::hint::spin_loop();
+                        wait.round();
                     }
                     tx.resume()?;
                     Ok(acc)

@@ -15,6 +15,12 @@
 //! When no hooks are installed (every ordinary run), [`enabled`] is a
 //! thread-local boolean read and both entry points are no-ops, so the
 //! engine's hot path stays unperturbed.
+//!
+//! The module also owns the engine's only OS-thread yields: every wait on
+//! another thread is a [`Wait`], and simulated-time pacing calls [`pace`].
+//! Under a scheduler only the granted thread runs engine code, so a wait
+//! pauses at [`CoopPoint::Blocked`] and pacing does nothing; a free-running
+//! thread spins and yields its OS thread instead.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -128,6 +134,55 @@ fn access_slow(line: u64, write: bool) {
     }
 }
 
+/// A wait on a condition only another thread can change (a held lock, a
+/// committing slot, an odd epoch, a drained pool), one [`round`] per poll.
+///
+/// Under a scheduler the condition can change only while another thread
+/// holds the grant, so each round pauses at [`CoopPoint::Blocked`] and
+/// makes no system call. A free-running thread issues a spin hint instead
+/// and yields its OS thread every `yield_every` rounds, so a peer sharing
+/// its core can run.
+///
+/// [`round`]: Wait::round
+pub struct Wait {
+    rounds: u64,
+    yield_every: u64,
+}
+
+impl Wait {
+    /// A wait that, free-running, yields the OS thread every `yield_every`
+    /// (at least 1) rounds.
+    pub const fn new(yield_every: u64) -> Wait {
+        assert!(yield_every > 0, "a wait must yield at some cadence");
+        Wait { rounds: 0, yield_every }
+    }
+
+    /// Waits one round; returns the rounds waited so far, this one included.
+    #[inline]
+    pub fn round(&mut self) -> u64 {
+        self.rounds += 1;
+        if enabled() {
+            point_slow(CoopPoint::Blocked);
+        } else {
+            std::hint::spin_loop();
+            if self.rounds.is_multiple_of(self.yield_every) {
+                std::thread::yield_now();
+            }
+        }
+        self.rounds
+    }
+}
+
+/// Yields the OS thread to pace a free-running worker against its peers.
+/// Does nothing under a scheduler, where only a grant lets another worker
+/// run.
+#[inline]
+pub fn pace() {
+    if !enabled() {
+        std::thread::yield_now();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +219,29 @@ mod tests {
         point(CoopPoint::WriteBack); // dropped guard: no-op again
         assert_eq!(*log.pauses.borrow(), vec![CoopPoint::PreCommit]);
         assert_eq!(*log.accesses.borrow(), vec![(7, false)]);
+    }
+
+    #[test]
+    fn waits_pause_blocked_only_while_hooks_are_installed() {
+        // No hooks: a wait spins (and yields) without pausing, and returns.
+        let mut wait = Wait::new(1);
+        assert_eq!(wait.round(), 1);
+        let log =
+            Rc::new(Log { pauses: StdRefCell::new(vec![]), accesses: StdRefCell::new(vec![]) });
+        {
+            let _guard = install(Rc::clone(&log) as Rc<dyn CoopHooks>);
+            pace(); // no pause and no OS yield under a scheduler
+            let mut wait = Wait::new(4);
+            for k in 1..=9 {
+                assert_eq!(wait.round(), k);
+            }
+            assert_eq!(*log.pauses.borrow(), vec![CoopPoint::Blocked; 9]);
+        }
+        // Dropped guard: waits stop pausing.
+        assert_eq!(wait.round(), 2);
+        pace();
+        assert_eq!(log.pauses.borrow().len(), 9);
+        assert!(log.accesses.borrow().is_empty());
     }
 
     #[test]

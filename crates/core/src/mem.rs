@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::SeqCst};
 
 use crate::abort::AbortCause;
 use crate::addr::{Geometry, LineId, WordAddr};
+use crate::coop::Wait;
 
 /// Maximum number of hardware-thread slots (bounded by the reader bitmask).
 pub const MAX_SLOTS: usize = 64;
@@ -40,6 +41,14 @@ pub const MAX_SLOTS: usize = 64;
 /// Number of spin iterations after which the simulator assumes a protocol
 /// deadlock and panics (a bug, not a benchmark condition).
 const SPIN_LIMIT: u64 = 1 << 33;
+
+/// A free-running conflict-protocol spin yields its OS thread once every
+/// this many rounds.
+const SPIN_YIELD_EVERY: u64 = 1024;
+
+/// 64-bit FNV-1a parameters of [`TxMemory::digest`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Identifier of a hardware-thread slot participating in transactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -232,13 +241,24 @@ impl TxMemory {
     /// for callers whose arenas contain instrumentation slots (e.g. a
     /// lock's simulated-time stamp) that are timing, not program data.
     pub fn digest_excluding(&self, skip: &[WordAddr]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut skip: Vec<usize> = skip.iter().map(|a| a.0 as usize).collect();
+        skip.sort_unstable();
+        skip.dedup();
+        let mut skip = skip.into_iter().peekable();
+        let mut h = FNV_OFFSET;
+        // Hashing a zero word is `h = (h ^ 0) * FNV_PRIME`, so a run of
+        // `zeros` of them is one multiply by `FNV_PRIME^zeros`.
+        let mut zeros = 0u32;
         for (i, w) in self.words.iter().enumerate() {
-            let v = if skip.iter().any(|a| a.0 as usize == i) { 0 } else { w.load(SeqCst) };
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            let v = if skip.next_if_eq(&i).is_some() { 0 } else { w.load(SeqCst) };
+            if v == 0 {
+                zeros += 1;
+            } else {
+                h = (h.wrapping_mul(FNV_PRIME.wrapping_pow(zeros)) ^ v).wrapping_mul(FNV_PRIME);
+                zeros = 0;
+            }
         }
-        h
+        h.wrapping_mul(FNV_PRIME.wrapping_pow(zeros))
     }
 
     /// The conflict-detection geometry this memory was built with.
@@ -427,13 +447,13 @@ impl TxMemory {
     /// enter `Committing`, so once this returns no new committer can appear
     /// while the caller holds the lock.
     pub fn quiesce_committers(&self, me: Option<SlotId>) {
+        let mut wait = Wait::new(1);
         for (i, status) in self.slots.iter().enumerate() {
             if me.is_some_and(|s| s.0 as usize == i) {
                 continue;
             }
             while status.load(SeqCst) & STATE_MASK == COMMITTING {
-                crate::coop::point(crate::coop::CoopPoint::Blocked);
-                std::thread::yield_now();
+                wait.round();
             }
         }
     }
@@ -462,7 +482,7 @@ impl TxMemory {
         crate::coop::access(line.0 as u64, false);
         let (readers, writer) = (self.readers(line), self.writer(line));
         readers.fetch_or(slot.mask(), SeqCst);
-        let mut spins = 0u64;
+        let mut wait = Wait::new(SPIN_YIELD_EVERY);
         loop {
             if let Some(cause) = self.doom_cause(slot) {
                 return Err(cause);
@@ -485,11 +505,11 @@ impl TxMemory {
                         DoomOutcome::Committing => {
                             // Wait for the commit flush to finish, then read the
                             // committed value.
-                            self.spin(&mut spins);
+                            self.spin(&mut wait);
                         }
                         DoomOutcome::Inactive => {
                             // Stale tag about to be cleared; retry.
-                            self.spin(&mut spins);
+                            self.spin(&mut wait);
                         }
                     }
                 }
@@ -515,7 +535,7 @@ impl TxMemory {
     ) -> Result<(), AbortCause> {
         crate::coop::access(line.0 as u64, true);
         let (readers, writer) = (self.readers(line), self.writer(line));
-        let mut spins = 0u64;
+        let mut wait = Wait::new(SPIN_YIELD_EVERY);
         loop {
             if let Some(cause) = self.doom_cause(slot) {
                 return Err(cause);
@@ -543,7 +563,7 @@ impl TxMemory {
                                     // In every case the owner will release
                                     // the line (rollback or commit-finish);
                                     // wait and retry the claim.
-                                    self.spin(&mut spins);
+                                    self.spin(&mut wait);
                                 }
                             }
                         }
@@ -712,12 +732,12 @@ impl TxMemory {
     /// `w` of another slot.
     #[cold]
     fn doom_writer_contended(&self, line: LineId, by: Option<SlotId>, mut w: u32) {
-        let mut spins = 0u64;
+        let mut wait = Wait::new(SPIN_YIELD_EVERY);
         loop {
             let owner = SlotId((w - 1) as u8);
             match self.try_doom_from(owner, AbortCause::ConflictNonTx, by, line) {
                 DoomOutcome::Doomed | DoomOutcome::AlreadyDoomed | DoomOutcome::Inactive => return,
-                DoomOutcome::Committing => self.spin(&mut spins),
+                DoomOutcome::Committing => self.spin(&mut wait),
             }
             w = self.writer(line).load(SeqCst);
             if w == 0 || Some(w) == by.map(SlotId::writer_tag) {
@@ -738,18 +758,9 @@ impl TxMemory {
     }
 
     #[inline]
-    fn spin(&self, spins: &mut u64) {
-        // Under a cooperative scheduler (`htm_runtime::sched`) the
-        // condition we spin on can only change when another thread is
-        // granted a step, so park instead of burning the spin budget
-        // against a paused peer.
-        crate::coop::point(crate::coop::CoopPoint::Blocked);
-        *spins += 1;
-        assert!(*spins < SPIN_LIMIT, "conflict-protocol deadlock (spin limit exceeded)");
-        std::hint::spin_loop();
-        if (*spins).is_multiple_of(1024) {
-            std::thread::yield_now();
-        }
+    fn spin(&self, wait: &mut Wait) {
+        let spins = wait.round();
+        assert!(spins < SPIN_LIMIT, "conflict-protocol deadlock (spin limit exceeded)");
     }
 }
 
@@ -1236,6 +1247,17 @@ mod proptests {
         Write(u16),
     }
 
+    /// The word-by-word FNV-1a loop that `digest_excluding` must match.
+    fn digest_reference(m: &TxMemory, skip: &[WordAddr]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for i in 0..m.len_words() {
+            let v = if skip.iter().any(|a| a.0 == i) { 0 } else { m.read_word(WordAddr(i)) };
+            h ^= v;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
     fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop::collection::vec(
             prop_oneof![(0u16..512).prop_map(Op::Read), (0u16..512).prop_map(Op::Write),],
@@ -1289,6 +1311,24 @@ mod proptests {
                 m.release_writer(l, t);
             }
             m.finish_slot(t);
+        }
+
+        /// The zero-run digest equals the word-by-word loop on sparse
+        /// arenas, whatever the skip list: duplicated, unsorted, or past the
+        /// arena's end.
+        #[test]
+        fn digest_matches_word_by_word_reference(
+            len in 1u32..600,
+            writes in prop::collection::vec((0u32..600, any::<u64>(), any::<bool>()), 0..24),
+            skip in prop::collection::vec(0u32..700, 0..6),
+        ) {
+            let m = TxMemory::new(len, Geometry::new(64));
+            for &(a, v, zero) in writes.iter().filter(|w| w.0 < len) {
+                m.write_word(WordAddr(a), if zero { 0 } else { v });
+            }
+            let skip: Vec<WordAddr> = skip.into_iter().map(WordAddr).collect();
+            prop_assert_eq!(m.digest_excluding(&skip), digest_reference(&m, &skip));
+            prop_assert_eq!(m.digest(), digest_reference(&m, &[]));
         }
 
         /// Randomized two-transaction interleavings: whatever the footprint

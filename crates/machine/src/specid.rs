@@ -45,6 +45,7 @@ impl SpecIdPool {
     /// progress as long as transactions finish).
     pub fn acquire(&self) -> u64 {
         let mut waited = 0u64;
+        let mut wait = htm_core::coop::Wait::new(1);
         loop {
             let a = self.avail.load(SeqCst);
             if a > 0 {
@@ -62,7 +63,7 @@ impl SpecIdPool {
             } else {
                 // Nothing released yet; wait for other threads to finish.
                 waited += self.reclaim_cycles / 8;
-                std::thread::yield_now();
+                wait.round();
             }
         }
     }

@@ -277,9 +277,13 @@ impl Sim {
     /// not change. [`Sim::replay`] keeps OS threads, as does every run on
     /// targets other than x86_64 Linux.
     ///
-    /// Workers that wait for each other any other way (a spin on shared
-    /// memory without a scheduler pause) would hang on fibers: free-running
-    /// workloads must not declare this.
+    /// Every wait inside the engine (global lock, line claim, committing
+    /// slot, hybrid epoch, speculation ID, replay turn) is an
+    /// [`htm_core::coop::Wait`], which pauses at a Blocked point, and
+    /// pacing makes no OS yield under the scheduler. Workers that wait for
+    /// each other any other way (a spin on shared memory without a
+    /// scheduler pause, a `std::sync::Barrier`) would hang on fibers:
+    /// free-running workloads must not declare this.
     pub fn declare_cooperative(&self) {
         self.cooperative.store(true, Ordering::Relaxed);
     }
@@ -1093,6 +1097,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn drained_spec_id_pool_does_not_hang_a_cooperative_run() {
+        // One free ID for two workers: a waiter must pause so that the
+        // holder can run, finish its transaction and release the ID.
+        let s = faulty_sim(Platform::BlueGeneQ, crate::FaultPlan::none().spec_id_drain(127));
+        let a = s.alloc().alloc(1);
+        let stats = cooperative_run(&s, 2, |ctx| {
+            for _ in 0..50 {
+                ctx.atomic(|tx| {
+                    let v = tx.load(a)?;
+                    tx.store(a, v + 1)
+                });
+            }
+        })
+        .expect("run");
+        assert_eq!(s.read_word(a), 100);
+        assert_eq!(stats.committed_blocks(), 100);
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! all subscribed transactions through the ordinary conflict mechanism,
 //! exactly as on real hardware.
 
+use htm_core::coop::Wait;
 use htm_core::{Clock, CostModel, SimAlloc, TxMemory, WordAddr};
+
+/// A free-running lock waiter yields its OS thread once every this many
+/// polls.
+const LOCK_YIELD_EVERY: u64 = 512;
 
 /// Handle to the global lock word (one per simulation).
 ///
@@ -71,7 +76,7 @@ impl GlobalLock {
     ) -> u64 {
         debug_assert_ne!(owner_tag, 0, "owner tag 0 means unlocked");
         let mut waited = 0u64;
-        let mut polls = 0u64;
+        let mut wait = Wait::new(LOCK_YIELD_EVERY);
         loop {
             if mem.read_word(self.addr) == 0 {
                 clock.tick(cost.lock_op);
@@ -98,14 +103,7 @@ impl GlobalLock {
             }
             clock.tick(cost.spin_poll);
             waited += cost.spin_poll;
-            polls += 1;
-            // Under a cooperative scheduler the holder is parked until granted
-            // a step; park this thread instead of spinning against it.
-            htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
-            std::hint::spin_loop();
-            if polls.is_multiple_of(512) {
-                std::thread::yield_now();
-            }
+            wait.round();
         }
     }
 
@@ -140,18 +138,13 @@ impl GlobalLock {
     /// Figure 1 line 9). Returns the simulated cycles spent waiting.
     pub(crate) fn wait_released(&self, mem: &TxMemory, clock: &Clock, cost: &CostModel) -> u64 {
         let mut waited = 0u64;
-        let mut polls = 0u64;
+        let mut wait = Wait::new(LOCK_YIELD_EVERY);
         let mut waited_any = false;
         while self.is_locked(mem) {
             waited_any = true;
             clock.tick(cost.spin_poll);
             waited += cost.spin_poll;
-            polls += 1;
-            htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
-            std::hint::spin_loop();
-            if polls.is_multiple_of(512) {
-                std::thread::yield_now();
-            }
+            wait.round();
         }
         if waited_any {
             clock.advance_to(mem.read_word(self.time_slot()));

@@ -368,13 +368,11 @@ impl Turnstile {
     /// Panics if the turnstile stalls (replay divergence: the recorded
     /// predecessor never committed).
     pub(crate) fn await_turn(&self, order: u64) {
+        const CHECK_EVERY: u64 = 64;
         let start = std::time::Instant::now();
-        let mut spins = 0u64;
+        let mut wait = htm_core::coop::Wait::new(CHECK_EVERY);
         while self.turn.load(Ordering::SeqCst) != order {
-            spins += 1;
-            std::hint::spin_loop();
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
+            if wait.round().is_multiple_of(CHECK_EVERY) {
                 assert!(
                     start.elapsed() < std::time::Duration::from_secs(30),
                     "replay diverged: turnstile stalled waiting for commit order {order}"

@@ -659,17 +659,17 @@ impl TxnEngine {
     /// Waits until no in-place write-back is in progress and returns the
     /// (even) epoch value. Returns 0 when no epoch is installed.
     fn wait_epoch_even(&self) -> u64 {
-        match &self.hybrid_epoch {
-            None => 0,
-            Some(e) => loop {
-                htm_core::coop::access(htm_core::coop::EPOCH_LINE, false);
-                let v = e.load(Ordering::SeqCst);
-                if v & 1 == 0 {
-                    break v;
-                }
-                htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
-                std::thread::yield_now();
-            },
+        let Some(e) = &self.hybrid_epoch else {
+            return 0;
+        };
+        let mut wait = htm_core::coop::Wait::new(1);
+        loop {
+            htm_core::coop::access(htm_core::coop::EPOCH_LINE, false);
+            let v = e.load(Ordering::SeqCst);
+            if v & 1 == 0 {
+                return v;
+            }
+            wait.round();
         }
     }
 
@@ -681,12 +681,12 @@ impl TxnEngine {
         let Some(e) = &self.hybrid_epoch else {
             return (self.mem.read_word(addr), 0);
         };
+        let mut wait = htm_core::coop::Wait::new(1);
         loop {
             htm_core::coop::access(htm_core::coop::EPOCH_LINE, false);
             let e0 = e.load(Ordering::SeqCst);
             if e0 & 1 == 1 {
-                htm_core::coop::point(htm_core::coop::CoopPoint::Blocked);
-                std::thread::yield_now();
+                wait.round();
                 continue;
             }
             let v = self.mem.read_word(addr);
@@ -1153,7 +1153,10 @@ impl TxnEngine {
     /// *simulated* cycles, so a worker's real-time presence (and hence its
     /// conflict exposure) is proportional to its simulated duration — a
     /// transaction that costs 10× the cycles stays in flight 10× as long.
-    /// Only hardware-mode runs of more than one thread pace.
+    /// Only hardware-mode runs of more than one thread pace, and only while
+    /// free-running: under a scheduler (svc cells, the model checker) only
+    /// a grant lets another worker run, so [`htm_core::coop::pace`] makes
+    /// no system call there.
     #[inline]
     pub(crate) fn maybe_yield(&self) {
         if self.pace {
@@ -1178,7 +1181,7 @@ impl TxnEngine {
                 let quantum = iv / 2 + x % iv;
                 self.next_yield_at
                     .set(self.next_yield_at.get().max(now.saturating_sub(4 * iv)) + quantum);
-                std::thread::yield_now();
+                htm_core::coop::pace();
             }
         }
     }
