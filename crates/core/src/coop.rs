@@ -31,6 +31,10 @@ use std::rc::Rc;
 /// ordinary conflicting accesses.
 pub const EPOCH_LINE: u64 = u64::MAX;
 
+/// Sentinel "line" a phase barrier's last arrival reports as a write when
+/// it releases the waiters, so a scheduler sees the release as progress.
+pub const BARRIER_LINE: u64 = u64::MAX - 1;
+
 /// Where in the engine a cooperative pause happens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoopPoint {

@@ -801,14 +801,23 @@ fn lint_cell(
     let policy = tuned_policy(platform, bench);
     let make = stamp::workload_factory(bench, variant, &machine, scale, seed);
 
-    let stats = stamp::run_sanitized_with(&|| make(), &machine, threads, policy, seed, fallback);
+    let run = BenchParams {
+        threads,
+        policy,
+        scale,
+        seed,
+        sanitize: true,
+        fallback,
+        ..Default::default()
+    };
+    let stats = stamp::run_parallel(&*make, &machine, &run);
 
     let kind = machine.tracker;
     let line_bytes = kind.line_bytes();
     // One traced run records both granularities: the conflict line size
     // (capacity prediction) and 8-byte words (false-sharing check — blocks
     // whose words never overlap cannot truly conflict).
-    let tracer = stamp::trace_line_sets(&|| make(), &machine, &[line_bytes, 8], seed);
+    let tracer = stamp::trace_line_sets(&*make, &machine, &[line_bytes, 8], seed);
     let blocks = tracer.line_sets(0).to_vec();
     let word_blocks = tracer.line_sets(1).to_vec();
     // Threads share a tracking structure once they outnumber cores; the

@@ -5,8 +5,8 @@
 //! serves the whole grid.
 
 use htm_machine::{BgqMode, MachineConfig, Platform};
-use htm_runtime::{FallbackPolicy, FaultPlan, RetryPolicy, RunStats};
-use stamp::{BenchId, BenchParams, BenchResult, Scale, Variant};
+use htm_runtime::RetryPolicy;
+use stamp::{BenchId, BenchResult};
 
 /// Geometric mean (the paper's average for speed-up figures).
 pub fn geomean(xs: &[f64]) -> f64 {
@@ -93,42 +93,6 @@ impl Cell {
         let serialization = results.iter().map(|r| r.stats.serialization_ratio()).sum::<f64>() / n;
         Cell { speedup, abort_ratio, abort_shares, serialization }
     }
-}
-
-/// Measures one (platform × benchmark × variant × threads) cell with the
-/// tuned retry policy, averaging `reps` runs, and also returns the
-/// rep-merged run statistics (via [`RunStats::merged`]) for counter-level
-/// reporting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell(
-    platform: Platform,
-    bench: BenchId,
-    variant: Variant,
-    threads: u32,
-    scale: Scale,
-    seed: u64,
-    reps: u32,
-    certify: bool,
-) -> (Cell, RunStats) {
-    let machine = machine_for(platform, bench);
-    let policy = tuned_policy(platform, bench);
-    let mut results = Vec::new();
-    for rep in 0..reps.max(1) {
-        let params = BenchParams {
-            threads,
-            policy,
-            scale,
-            seed: seed.wrapping_add(rep as u64 * 7919),
-            use_hle: false,
-            faults: FaultPlan::none(),
-            certify,
-            sanitize: false,
-            fallback: FallbackPolicy::Lock,
-        };
-        results.push(stamp::run_bench(bench, variant, &machine, &params));
-    }
-    let merged = RunStats::merged(results.iter().map(|r| &r.stats));
-    (Cell::summarize(&results), merged)
 }
 
 #[cfg(test)]

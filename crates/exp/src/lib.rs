@@ -50,6 +50,6 @@ pub mod specs;
 pub use cache::{Load, ResultCache};
 pub use cell::{CellKind, CellResult, CellSpec, MachineTweak, StampCell, SvcCell, SvcMode};
 pub use engine::{run_spec, EngineReport, FabricReport, SpecRun};
-pub use grid::{bgq_mode_for, geomean, machine_for, run_cell, tuned_policy, Cell};
+pub use grid::{bgq_mode_for, geomean, machine_for, tuned_policy, Cell};
 pub use sink::{render_table_string, save_tsv, Sink};
 pub use spec::{ExperimentSpec, ResultSet, RunOpts};

@@ -70,7 +70,7 @@ pub(crate) fn grid_id(
 }
 
 /// A tuned-policy grid cell honoring the run options (`--reps`,
-/// `--certify`), exactly the legacy `run_cell`.
+/// `--certify`, `--fallback`).
 pub(crate) fn grid_cell(
     opts: &RunOpts,
     bench: BenchId,

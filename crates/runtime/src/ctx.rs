@@ -17,10 +17,12 @@
 //! [`ThreadCtx::try_rollback_only`] (POWER8 rollback-only transactions).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 
+use htm_core::coop::Wait;
 use htm_core::{Abort, AbortCategory, AbortCause, SyncClock, TxMemory, TxResult, WordAddr};
 use htm_hytm::adapt::{AdaptSignal, AdaptiveController, Tier};
 use htm_hytm::{FallbackPolicy, ROT_RETRIES, STM_COMMIT_RETRIES};
@@ -30,6 +32,39 @@ use crate::lock::GlobalLock;
 use crate::replay::{AttemptRecord, BlockRecord, Turnstile, TxPath};
 use crate::stats::ThreadStats;
 use crate::tx::{ExecMode, Tx, TxnEngine};
+
+/// zEC12's hidden escalation token, shared by a `Sim`'s workers: at most one
+/// escalated constrained transaction holds it at a time.
+#[derive(Debug, Default)]
+pub(crate) struct Arbiter(AtomicBool);
+
+/// A held [`Arbiter`] token; dropping it releases the token, also when the
+/// holder unwinds.
+struct ArbiterToken(Arc<Arbiter>);
+
+impl Arbiter {
+    /// Waits for the token. The wait is a [`Wait`], so under a scheduler a
+    /// waiter pauses at a Blocked point and the holder gets the grant.
+    fn acquire(arbiter: Arc<Arbiter>) -> ArbiterToken {
+        let mut wait = Wait::new(1);
+        // Acquire pairs with the Release in `ArbiterToken::drop`: a new
+        // holder sees everything the previous holder did under the token.
+        while arbiter
+            .0
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            wait.round();
+        }
+        ArbiterToken(arbiter)
+    }
+}
+
+impl Drop for ArbiterToken {
+    fn drop(&mut self) {
+        self.0 .0.store(false, Ordering::Release);
+    }
+}
 
 /// Explicit-abort code used when a transaction starts while the global lock
 /// is held (Figure 1, line 27).
@@ -167,7 +202,7 @@ pub struct ThreadCtx {
     policy: RetryPolicy,
     fallback: FallbackPolicy,
     bgq_adapt: BgqAdapt,
-    constrained_arbiter: Arc<Mutex<()>>,
+    constrained_arbiter: Arc<Arbiter>,
     hle: bool,
     watchdog: WatchdogConfig,
     /// Atomic blocks remaining in degraded (forced-irrevocable) mode.
@@ -201,7 +236,7 @@ impl ThreadCtx {
         lock: GlobalLock,
         policy: RetryPolicy,
         fallback: FallbackPolicy,
-        constrained_arbiter: Arc<Mutex<()>>,
+        constrained_arbiter: Arc<Arbiter>,
         watchdog: WatchdogConfig,
     ) -> ThreadCtx {
         let adapt = make_adapt(&eng, fallback);
@@ -1050,6 +1085,7 @@ impl ThreadCtx {
         mut path: TxPath,
     ) -> R {
         let cfg = self.eng.machine().config();
+        let is_bgq = cfg.platform == Platform::BlueGeneQ;
         let has_spill = cfg.has_suspend_resume;
         let reports_persistence = cfg.reports_persistence;
         let mut lock_retries = self.policy.lock_retries;
@@ -1070,7 +1106,7 @@ impl ThreadCtx {
                 }
                 Outcome::Aborted(cause) => cause,
             };
-            let (category, lock_related) = self.count_abort(&mut rec, snap, cause, path, false);
+            let (category, lock_related) = self.count_abort(&mut rec, snap, cause, path, is_bgq);
             if path == TxPath::Hw && has_spill && cause.is_capacity() {
                 path = TxPath::Spill;
             }
@@ -1213,11 +1249,7 @@ impl ThreadCtx {
         let mut rec = Vec::new();
         loop {
             let escalated = attempts >= 4;
-            let _token = escalated.then(|| self.constrained_arbiter.clone());
-            // A panicked peer may have poisoned the arbiter; the token is
-            // just a serialization point, so the poison carries no meaning
-            // and is safely discarded.
-            let _guard = _token.as_ref().map(|t| t.lock().unwrap_or_else(|p| p.into_inner()));
+            let _token = escalated.then(|| Arbiter::acquire(Arc::clone(&self.constrained_arbiter)));
             let snap = self.attempt_snapshot();
             let cause = match self.attempt(&mut body, TxPath::Constrained, false) {
                 Outcome::Committed(r) => {

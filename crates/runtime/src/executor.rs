@@ -8,7 +8,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use htm_core::{
     check_opacity, detect_races, panic_message, AbortedAttempt, ConflictPolicy, Geometry, Segment,
@@ -17,7 +17,7 @@ use htm_core::{
 use htm_hytm::FallbackPolicy;
 use htm_machine::{Machine, MachineConfig};
 
-use crate::ctx::{RetryPolicy, ThreadCtx, WatchdogConfig};
+use crate::ctx::{Arbiter, RetryPolicy, ThreadCtx, WatchdogConfig};
 use crate::faults::{FaultPlan, FaultState};
 use crate::lock::GlobalLock;
 use crate::replay::{BlockRecord, ScheduleTrace, Turnstile};
@@ -209,7 +209,7 @@ pub struct Sim {
     alloc: Arc<SimAlloc>,
     lock: GlobalLock,
     cfg: SimConfig,
-    constrained_arbiter: Arc<Mutex<()>>,
+    constrained_arbiter: Arc<Arbiter>,
     /// Set by [`Sim::declare_cooperative`].
     cooperative: AtomicBool,
 }
@@ -248,7 +248,7 @@ impl Sim {
             alloc,
             lock,
             cfg,
-            constrained_arbiter: Arc::new(Mutex::new(())),
+            constrained_arbiter: Arc::default(),
             cooperative: AtomicBool::new(false),
         })
     }
@@ -278,7 +278,8 @@ impl Sim {
     /// targets other than x86_64 Linux.
     ///
     /// Every wait inside the engine (global lock, line claim, committing
-    /// slot, hybrid epoch, speculation ID, replay turn) is an
+    /// slot, hybrid epoch, speculation ID, replay turn, zEC12 constrained
+    /// arbitration) and at the STAMP phase barriers is an
     /// [`htm_core::coop::Wait`], which pauses at a Blocked point, and
     /// pacing makes no OS yield under the scheduler. Workers that wait for
     /// each other any other way (a spin on shared memory without a
@@ -972,6 +973,26 @@ mod tests {
         // The three siblings ran their full workload, and the dead worker
         // committed 51 blocks before it panicked.
         assert_eq!(s.read_word(a), 3 * 200 + 51);
+    }
+
+    #[test]
+    fn contended_constrained_transactions_finish_on_a_cooperative_run() {
+        // Contention escalates blocks to the arbitration token, and a
+        // holder pauses inside its attempt: a waiter must hand the grant
+        // back instead of blocking the thread every fiber runs on.
+        let s = sim(Platform::Zec12);
+        let a = s.alloc().alloc(1);
+        let stats = cooperative_run(&s, 2, |ctx| {
+            for _ in 0..200 {
+                ctx.atomic_constrained(|tx| {
+                    let v = tx.load(a)?;
+                    tx.store(a, v + 1)
+                });
+            }
+        })
+        .expect("run");
+        assert_eq!(s.read_word(a), 400);
+        assert_eq!(stats.hw_commits(), 400);
     }
 
     #[test]

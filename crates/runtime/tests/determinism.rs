@@ -523,11 +523,11 @@ const TIER_PINS: &[(&str, u64)] = &[
     ("bgq-short/lock", 0x13adba20c2f2ea30),
     ("bgq-short/stm", 0x5e5375fad65bbeb1),
     ("bgq-short/rot", 0x13adba20c2f2ea30),
-    ("bgq-short/adaptive", 0x47b3861edc0ea470),
+    ("bgq-short/adaptive", 0xe930ec292b91cba9),
     ("bgq-long/lock", 0xfd7ee205e9479867),
     ("bgq-long/stm", 0x360aab35ef9f9642),
     ("bgq-long/rot", 0xfd7ee205e9479867),
-    ("bgq-long/adaptive", 0x87435f2090c80e95),
+    ("bgq-long/adaptive", 0x5fe46176a9b620a2),
     ("zec12/lock", 0x1a484b9acd2314fd),
     ("zec12/stm", 0x0d50c6f302aec642),
     ("zec12/rot", 0x1a484b9acd2314fd),
@@ -595,8 +595,8 @@ fn hle_and_constrained_interfaces_are_pinned() {
                     runner,
                 );
             }
-            // One thread only: the constrained arbiter is a host mutex a
-            // worker may hold across a cooperative pause.
+            // One thread only, as first pinned: multi-thread constrained
+            // runs are covered by the executor's cooperative-run test.
             cx = pin_run(
                 cx,
                 &zec12,
@@ -616,9 +616,9 @@ fn hle_and_constrained_interfaces_are_pinned() {
 
 const WATCHDOG_PINS: &[(&str, u64)] = &[
     ("bgq-short/lock/trip", 0x68241d5ad5bb7766),
-    ("bgq-short/adaptive/trip", 0x7b9ee334dde124ed),
+    ("bgq-short/adaptive/trip", 0xdbdfe20009094256),
     ("bgq-long/lock/trip", 0x50be4bf83ec8475a),
-    ("bgq-long/adaptive/trip", 0xfc98fe5795a6b141),
+    ("bgq-long/adaptive/trip", 0x2989084c3e71e3c4),
     ("zec12/lock/trip", 0x5dedd622bbbe54f4),
     ("zec12/adaptive/trip", 0x939412d2e5dd9a81),
     ("intel/lock/trip", 0x0b14e7bdc4b34d7b),
@@ -657,8 +657,8 @@ fn watchdog_trips_are_pinned() {
 }
 
 const REPLAY_PINS: &[(&str, u64)] = &[
-    ("bgq-short/replay", 0xd77fba9062ad1749),
-    ("bgq-long/replay", 0xe63a06545e356683),
+    ("bgq-short/replay", 0x727340d8052b2dcf),
+    ("bgq-long/replay", 0x967dc743172cba42),
     ("zec12/replay", 0x018cd26fc03dd906),
     ("intel/replay", 0xe916f97a217f48ee),
     ("power8/replay", 0x3ad7aefcc2b735e3),

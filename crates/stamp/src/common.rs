@@ -6,10 +6,16 @@
 //! and once with N worker threads under the Figure-1 retry mechanism; the
 //! speed-up ratio is sequential cycles over the slowest worker's cycles, and
 //! the abort statistics come from the parallel run.
+//!
+//! [`BenchParams`] is the one description of a run, and [`run_instance`]
+//! the one parallel phase sequence: every runner here ([`measure`],
+//! [`run_parallel`], [`run_oracle`]) composes it with the sequential
+//! baseline, and the crate's `workload_factory` is the one registry that
+//! builds the workloads they run.
 
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use htm_core::SyncClock;
+use htm_core::{coop, SyncClock};
 use htm_machine::MachineConfig;
 use htm_runtime::{
     FallbackPolicy, FaultPlan, RetryPolicy, RunStats, SeqTracer, Sim, SimConfig, ThreadCtx,
@@ -169,14 +175,29 @@ impl Workload for Box<dyn Workload> {
     }
 }
 
-/// Re-usable inter-phase barrier for multi-phase workloads (genome's three
-/// phases). Sized by the framework before each run.
+/// Re-usable inter-phase barrier for multi-phase workloads (kmeans'
+/// iterations, genome's phases). Sized by the framework before each run.
+///
+/// Waiters poll through [`coop::Wait`], so the barrier works for
+/// free-running OS threads and for a cooperative `Sim`'s fibers alike.
 #[derive(Debug, Default)]
 pub struct PhaseBarrier {
-    inner: Mutex<Option<std::sync::Arc<Barrier>>>,
-    max_clock: std::sync::atomic::AtomicU64,
+    /// Workers per phase (0 until sized).
+    threads: AtomicU32,
+    /// Workers arrived in the current phase.
+    arrived: AtomicU32,
+    /// Completed phases: the last arrival bumps it to release the waiters.
+    generation: AtomicU64,
+    /// Latest arrival clock so far. Every worker leaves a phase at that
+    /// phase's maximum, so the running maximum at a phase's last arrival is
+    /// that phase's maximum and never needs resetting.
+    max_clock: AtomicU64,
+    /// Release clock of the last two phases, by generation parity. A waiter
+    /// reads its phase's slot, which the next phase's last arrival cannot
+    /// overwrite: that phase cannot complete before the waiter arrives.
+    release: [AtomicU64; 2],
     /// Vector clock of the barrier for the race sanitizer: every thread
-    /// releases into it before blocking and acquires from it after, so all
+    /// releases into it before waiting and acquires from it after, so all
     /// pre-barrier accesses happen-before all post-barrier accesses.
     sync: SyncClock,
 }
@@ -189,10 +210,8 @@ impl PhaseBarrier {
 
     /// Sizes the barrier for `threads` workers.
     pub fn size_for(&self, threads: u32) {
-        // Poison recovery: the guarded value is just a handle, valid even if
-        // a panicking worker died mid-access.
-        *self.inner.lock().unwrap_or_else(|p| p.into_inner()) =
-            Some(std::sync::Arc::new(Barrier::new(threads as usize)));
+        self.arrived.store(0, Ordering::SeqCst);
+        self.threads.store(threads, Ordering::SeqCst);
     }
 
     /// Waits for all workers (no-op when sized for one thread).
@@ -201,33 +220,48 @@ impl PhaseBarrier {
     ///
     /// Panics if the barrier was never sized.
     pub fn wait(&self) {
-        let b = self
-            .inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .expect("phase barrier not sized")
-            .clone();
-        b.wait();
+        self.arrive(0);
     }
 
     /// Waits for all workers and synchronizes simulated clocks: every
-    /// thread resumes at the latest arriving thread's simulated time
-    /// (without this, time spent waiting at a barrier would be free and
-    /// serial sections would not cost simulated time).
-    ///
-    /// Clock maxima are monotone, so the accumulator never needs resetting.
+    /// thread resumes at the latest arrival clock of its own phase, which
+    /// the phase's last arrival publishes (without this, time spent waiting
+    /// at a barrier would be free and serial sections would not cost
+    /// simulated time).
     ///
     /// # Panics
     ///
     /// Panics if the barrier was never sized.
-    pub fn wait_sync(&self, ctx: &htm_runtime::ThreadCtx) {
-        use std::sync::atomic::Ordering;
-        self.max_clock.fetch_max(ctx.now(), Ordering::SeqCst);
+    pub fn wait_sync(&self, ctx: &ThreadCtx) {
         ctx.hb_release(&self.sync);
-        self.wait();
+        let release = self.arrive(ctx.now());
         ctx.hb_acquire(&self.sync);
-        ctx.advance_clock_to(self.max_clock.load(Ordering::SeqCst));
+        ctx.advance_clock_to(release);
+    }
+
+    /// Arrives at simulated time `clock` and waits for the phase's last
+    /// arrival; returns the phase's release clock.
+    fn arrive(&self, clock: u64) -> u64 {
+        let threads = self.threads.load(Ordering::SeqCst);
+        assert!(threads > 0, "phase barrier not sized");
+        // The generation cannot move before this thread arrives.
+        let phase = self.generation.load(Ordering::SeqCst);
+        let slot = &self.release[(phase % 2) as usize];
+        self.max_clock.fetch_max(clock, Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == threads {
+            slot.store(self.max_clock.load(Ordering::SeqCst), Ordering::SeqCst);
+            self.arrived.store(0, Ordering::SeqCst);
+            self.generation.store(phase + 1, Ordering::SeqCst);
+            // The release is progress a round-robin scheduler must see, or
+            // a loop of barrier-only phases would look deadlocked.
+            coop::access(coop::BARRIER_LINE, true);
+        } else {
+            let mut wait = coop::Wait::new(1);
+            while self.generation.load(Ordering::SeqCst) == phase {
+                wait.round();
+            }
+        }
+        slot.load(Ordering::SeqCst)
     }
 }
 
@@ -237,124 +271,76 @@ fn sim_config(w: &dyn Workload, machine: &MachineConfig, seed: u64) -> SimConfig
     SimConfig::new(machine.clone()).mem_words(w.mem_words().max(1 << 20)).seed(seed)
 }
 
+/// The sequential phase sequence of `w` on the context `ctx_of` builds:
+/// `setup`, `prepare(1)`, `work`, `verify`. Never fault-injected: the
+/// sequential run defines correct output and the speed-up baseline.
+fn sequential<W: Workload>(
+    w: &W,
+    machine: &MachineConfig,
+    seed: u64,
+    ctx_of: impl FnOnce(&Sim) -> ThreadCtx,
+) -> (Sim, ThreadCtx) {
+    let sim = Sim::new(sim_config(w, machine, seed));
+    w.setup(&sim);
+    w.prepare(1);
+    let mut ctx = ctx_of(&sim);
+    w.work(&mut ctx);
+    w.verify(&sim);
+    (sim, ctx)
+}
+
 /// Runs `make()`'s workload once sequentially; returns its cycles.
 pub fn run_sequential<W: Workload>(
     make: &dyn Fn() -> W,
     machine: &MachineConfig,
     seed: u64,
 ) -> u64 {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    let cycles = sim.run_sequential(|ctx| w.work(ctx));
-    w.verify(&sim);
-    cycles
+    sequential(&make(), machine, seed, Sim::seq_ctx).1.now()
 }
 
-/// Runs `make()`'s workload once with `threads` workers.
-pub fn run_parallel<W: Workload>(
-    make: &dyn Fn() -> W,
+/// The parallel phase sequence of one workload instance, the one every
+/// runner composes: builds the `Sim` with `params`' faults, certifier,
+/// sanitizer and fallback; `setup`, then `prepare(threads)`; runs
+/// `params.threads` workers under the Figure-1 retry mechanism (through
+/// HLE when `params.use_hle`); `verify`; and, when certified, asserts the
+/// committed schedule is conflict-serializable. Returns the run's
+/// statistics and the `Sim`, for callers that inspect the result.
+///
+/// # Panics
+///
+/// Panics on workload corruption or certifier violations.
+pub fn run_instance<W: Workload>(
+    w: &W,
     machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-) -> RunStats {
-    run_parallel_opt(make, machine, threads, policy, seed, false)
-}
-
-/// Like [`run_parallel`], optionally routing atomic blocks through HLE.
-pub fn run_parallel_opt<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    use_hle: bool,
-) -> RunStats {
-    run_parallel_inner(
-        make,
-        machine,
-        threads,
-        policy,
-        seed,
-        use_hle,
-        FaultPlan::none(),
-        false,
-        false,
-        FallbackPolicy::Lock,
-    )
-}
-
-/// Runs `make()`'s workload once with `threads` workers under the
-/// happens-before race sanitizer; the report is in the returned stats'
-/// [`RunStats::race`] (no assertion here — callers decide severity).
-pub fn run_sanitized<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-) -> RunStats {
-    run_sanitized_with(make, machine, threads, policy, seed, FallbackPolicy::Lock)
-}
-
-/// Like [`run_sanitized`], with an explicit fallback policy — the HyTM
-/// lint/race gate runs each benchmark under every fallback tier.
-pub fn run_sanitized_with<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    run_parallel_inner(
-        make,
-        machine,
-        threads,
-        policy,
-        seed,
-        false,
-        FaultPlan::none(),
-        false,
-        true,
-        fallback,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_inner<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    use_hle: bool,
-    faults: FaultPlan,
-    certify: bool,
-    sanitize: bool,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    let w = make();
+    params: &BenchParams,
+) -> (RunStats, Sim) {
     let sim = Sim::new(
-        sim_config(&w, machine, seed)
-            .faults(faults)
-            .certify(certify)
-            .sanitize(sanitize)
-            .fallback(fallback),
+        sim_config(w, machine, params.seed)
+            .faults(params.faults)
+            .certify(params.certify)
+            .sanitize(params.sanitize)
+            .fallback(params.fallback),
     );
     w.setup(&sim);
-    w.prepare(threads);
-    let stats = sim.run_parallel(threads, policy, |ctx| {
-        ctx.set_hle(use_hle);
+    w.prepare(params.threads);
+    let stats = sim.run_parallel(params.threads, params.policy, |ctx| {
+        ctx.set_hle(params.use_hle);
         w.work(ctx)
     });
     w.verify(&sim);
     if let Some(report) = &stats.certify {
         assert!(report.ok(), "{}: certifier found violations:\n{report}", w.name());
     }
-    stats
+    (stats, sim)
+}
+
+/// Runs `make()`'s workload once in parallel as `params` describe.
+pub fn run_parallel<W: Workload>(
+    make: &dyn Fn() -> W,
+    machine: &MachineConfig,
+    params: &BenchParams,
+) -> RunStats {
+    run_instance(&make(), machine, params).0
 }
 
 /// Full measurement of one cell: sequential baseline + parallel run.
@@ -364,27 +350,17 @@ pub fn measure<W: Workload>(
     params: &BenchParams,
 ) -> BenchResult {
     let seq_cycles = run_sequential(make, machine, params.seed);
-    let stats = run_parallel_inner(
-        make,
-        machine,
-        params.threads,
-        params.policy,
-        params.seed,
-        params.use_hle,
-        params.faults,
-        params.certify,
-        params.sanitize,
-        params.fallback,
-    );
-    BenchResult { seq_cycles, stats }
+    BenchResult { seq_cycles, stats: run_parallel(make, machine, params) }
 }
 
 /// Differential oracle for one cell: runs the workload sequentially (the
-/// reference), then in parallel with the correctness certifier enabled;
-/// both runs pass the workload's own `verify`, the parallel schedule must
-/// be conflict-serializable, and — when the workload defines a
-/// schedule-independent [`Workload::result_digest`] — the two results must
-/// hash identically. Returns the certified parallel statistics.
+/// reference), then in parallel as `params` describe with the correctness
+/// certifier on. Both runs pass the workload's own `verify`, the parallel
+/// schedule must be conflict-serializable, and — when the workload defines
+/// a schedule-independent [`Workload::result_digest`] — the two results
+/// must hash identically. With a software fallback in `params` this is the
+/// hybrid-TM differential oracle: the reference stays tier-free. Returns
+/// the certified parallel statistics.
 ///
 /// # Panics
 ///
@@ -393,51 +369,12 @@ pub fn measure<W: Workload>(
 pub fn run_oracle<W: Workload>(
     make: &dyn Fn() -> W,
     machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    faults: FaultPlan,
+    params: &BenchParams,
 ) -> RunStats {
-    run_oracle_with(make, machine, threads, policy, seed, faults, FallbackPolicy::Lock)
-}
-
-/// Like [`run_oracle`], with an explicit fallback policy: the parallel run
-/// commits through the chosen tier (global lock, NOrec STM or POWER8 ROT)
-/// while the sequential reference stays tier-free, so digest equality
-/// across fallback policies is exactly the hybrid-TM differential oracle.
-///
-/// # Panics
-///
-/// Same failure modes as [`run_oracle`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_oracle_with<W: Workload>(
-    make: &dyn Fn() -> W,
-    machine: &MachineConfig,
-    threads: u32,
-    policy: RetryPolicy,
-    seed: u64,
-    faults: FaultPlan,
-    fallback: FallbackPolicy,
-) -> RunStats {
-    // Sequential reference (never fault-injected: it defines correctness).
     let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    sim.run_sequential(|ctx| w.work(ctx));
-    w.verify(&sim);
-    let seq_digest = w.result_digest(&sim);
-
-    // Certified parallel run on a fresh, identically-seeded simulation.
+    let seq_digest = w.result_digest(&sequential(&w, machine, params.seed, Sim::seq_ctx).0);
     let w = make();
-    let sim =
-        Sim::new(sim_config(&w, machine, seed).faults(faults).certify(true).fallback(fallback));
-    w.setup(&sim);
-    w.prepare(threads);
-    let stats = sim.run_parallel(threads, policy, |ctx| w.work(ctx));
-    w.verify(&sim);
-    let report = stats.certify.as_ref().expect("certifier was enabled");
-    assert!(report.ok(), "{}: certifier found violations:\n{report}", w.name());
+    let (stats, sim) = run_instance(&w, machine, &BenchParams { certify: true, ..*params });
     if let (Some(s), Some(p)) = (seq_digest, w.result_digest(&sim)) {
         assert_eq!(s, p, "{}: sequential and parallel result digests differ", w.name());
     }
@@ -452,15 +389,8 @@ pub fn trace_footprints<W: Workload>(
     granularities: &[u32],
     seed: u64,
 ) -> SeqTracer {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    let mut ctx = sim.seq_ctx_traced(granularities);
-    w.work(&mut ctx);
-    let tracer = sim.take_tracer(&mut ctx);
-    w.verify(&sim);
-    tracer
+    let (sim, mut ctx) = sequential(&make(), machine, seed, |s| s.seq_ctx_traced(granularities));
+    sim.take_tracer(&mut ctx)
 }
 
 /// Like [`trace_footprints`], but also keeps each block's distinct line
@@ -472,15 +402,9 @@ pub fn trace_line_sets<W: Workload>(
     granularities: &[u32],
     seed: u64,
 ) -> SeqTracer {
-    let w = make();
-    let sim = Sim::new(sim_config(&w, machine, seed));
-    w.setup(&sim);
-    w.prepare(1);
-    let mut ctx = sim.seq_ctx_traced_sets(granularities);
-    w.work(&mut ctx);
-    let tracer = sim.take_tracer(&mut ctx);
-    w.verify(&sim);
-    tracer
+    let (sim, mut ctx) =
+        sequential(&make(), machine, seed, |s| s.seq_ctx_traced_sets(granularities));
+    sim.take_tracer(&mut ctx)
 }
 
 /// Deterministically splits `0..total` into `num_threads` contiguous chunks
@@ -498,6 +422,7 @@ pub fn partition(total: u64, thread_id: u32, num_threads: u32) -> std::ops::Rang
 #[cfg(test)]
 mod tests {
     use super::*;
+    use htm_machine::Platform;
 
     #[test]
     fn partition_covers_everything_disjointly() {
@@ -539,6 +464,83 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn phase_barrier_resumes_each_thread_at_its_own_phase_max() {
+        // Thread 0 reaches phase k at exactly k * 1000 cycles, thread 1
+        // earlier, so every phase's maximum is k * 1000. A thread that
+        // leaves first runs on into the next phase while its peer is still
+        // waking; the peer must still resume at its own phase's maximum.
+        const PHASES: u64 = 2000;
+        let sim = Sim::new(SimConfig::new(Platform::IntelCore.config()).mem_words(1 << 16));
+        let b = PhaseBarrier::new();
+        b.size_for(2);
+        let late = AtomicU64::new(0);
+        sim.run_parallel(2, RetryPolicy::default(), |ctx| {
+            for k in 1..=PHASES {
+                if ctx.thread_id() == 0 {
+                    ctx.advance_clock_to(k * 1000);
+                }
+                b.wait_sync(ctx);
+                if ctx.now() != k * 1000 {
+                    late.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        assert_eq!(late.load(Ordering::Relaxed), 0, "phases resumed past their own maximum");
+    }
+
+    /// `inner` on a cooperative `Sim`, its workers under a round-robin
+    /// scheduler, so the run is exact.
+    struct RoundRobinRun<W> {
+        inner: W,
+        sched: std::sync::OnceLock<std::sync::Arc<htm_runtime::sched::RoundRobin>>,
+    }
+
+    impl<W: Workload> Workload for RoundRobinRun<W> {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn mem_words(&self) -> u32 {
+            self.inner.mem_words()
+        }
+        fn setup(&self, sim: &Sim) {
+            self.inner.setup(sim);
+            sim.declare_cooperative();
+        }
+        fn prepare(&self, threads: u32) {
+            self.inner.prepare(threads);
+            let _ = self.sched.set(htm_runtime::sched::RoundRobin::new(threads));
+        }
+        fn work(&self, ctx: &mut ThreadCtx) {
+            let sched = self.sched.get().expect("prepared");
+            let tid = ctx.thread_id();
+            let _hooks = coop::install(sched.hooks(tid));
+            let _done = sched.finish_guard(tid);
+            sched.register(tid);
+            self.inner.work(ctx);
+        }
+        fn verify(&self, sim: &Sim) {
+            self.inner.verify(sim)
+        }
+    }
+
+    #[test]
+    fn cooperative_kmeans_crosses_its_barriers_and_is_exact() {
+        use crate::kmeans::{Kmeans, KmeansConfig, KmeansVariant};
+        let machine = Platform::IntelCore.config();
+        let run = || {
+            let cfg = KmeansConfig::high(Scale::Tiny, KmeansVariant::Modified, machine.granularity);
+            let w = RoundRobinRun { inner: Kmeans::new(cfg, 7), sched: Default::default() };
+            let params = BenchParams { threads: 2, scale: Scale::Tiny, ..Default::default() };
+            let (stats, _) = run_instance(&w, &machine, &params);
+            let cycles: Vec<u64> = stats.threads.iter().map(|t| t.cycles).collect();
+            (stats.counters().collect::<Vec<_>>(), cycles)
+        };
+        let first = run();
+        assert!(first.0.iter().any(|&(_, v)| v > 0), "the run must commit blocks");
+        assert_eq!(first, run());
     }
 
     #[test]

@@ -425,9 +425,7 @@ mod tests {
             crate::common::run_parallel(
                 &|| Genome::new(GenomeConfig::at(Scale::Tiny, variant), 21),
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                21,
+                &BenchParams { threads: 4, seed: 21, ..Default::default() },
             )
         };
         let orig = run(GenomeVariant::Original);

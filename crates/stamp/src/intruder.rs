@@ -349,9 +349,7 @@ mod tests {
                     )
                 },
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                33,
+                &BenchParams { threads: 4, seed: 33, ..Default::default() },
             )
         };
         let orig = run(IntruderVariant::Original);

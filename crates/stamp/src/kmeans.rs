@@ -303,7 +303,7 @@ mod tests {
         // Compare only data-conflict aborts: zEC12's random transient
         // "cache-fetch" aborts would add noise to the total.
         let conflicts = |v| {
-            let stats = crate::common::run_parallel(&mk(v), &cfg, p.threads, p.policy, p.seed);
+            let stats = crate::common::run_parallel(&mk(v), &cfg, &p);
             stats.aborts_in(htm_core::AbortCategory::DataConflict)
         };
         let orig = conflicts(KmeansVariant::Original);

@@ -381,9 +381,7 @@ mod tests {
         let stats = crate::common::run_parallel(
             &|| Labyrinth::new(cfg, 17),
             &Platform::Power8.config(),
-            2,
-            htm_runtime::RetryPolicy::default(),
-            17,
+            &BenchParams { threads: 2, seed: 17, ..Default::default() },
         );
         assert!(
             stats.irrevocable_commits() > 0,

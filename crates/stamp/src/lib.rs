@@ -11,8 +11,15 @@
 //! | kmeans    | cluster accumulators aligned to conflict-detection lines |
 //! | vacation  | hash tables for the resource tables |
 //!
-//! Use [`BenchId`]/[`run_bench`] for the harness-facing registry, or the
-//! per-benchmark modules directly.
+//! One registry and one run sequence serve every caller:
+//!
+//! * [`workload_factory`] maps a ([`BenchId`], [`Variant`]) pair to its
+//!   workload constructor. [`run_bench`], [`run_bench_oracle`] and
+//!   [`trace_bench`] are one-line compositions of it.
+//! * [`BenchParams`] describes one run, and [`run_instance`] runs one
+//!   workload instance through the parallel phase sequence.
+//!   [`measure`], [`run_parallel`] and [`run_oracle`] compose it with the
+//!   sequential baseline ([`common`] has the protocol).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,8 +40,8 @@ pub mod labyrinth;
 pub mod yada;
 
 pub use common::{
-    measure, run_oracle, run_oracle_with, run_parallel, run_sanitized, run_sanitized_with,
-    run_sequential, trace_footprints, trace_line_sets,
+    measure, run_instance, run_oracle, run_parallel, run_sequential, trace_footprints,
+    trace_line_sets,
 };
 pub use common::{BenchParams, BenchResult, Scale, Workload};
 
@@ -147,76 +154,13 @@ pub fn run_bench(
     machine: &MachineConfig,
     params: &BenchParams,
 ) -> BenchResult {
-    let seed = params.seed;
-    let scale = params.scale;
-    let gran = machine.granularity;
-    let platform = machine.platform;
-    match id {
-        BenchId::KmeansHigh | BenchId::KmeansLow => {
-            let kv = match variant {
-                Variant::Original => kmeans::KmeansVariant::Original,
-                Variant::Modified => kmeans::KmeansVariant::Modified,
-            };
-            let cfg = if id == BenchId::KmeansHigh {
-                kmeans::KmeansConfig::high(scale, kv, gran)
-            } else {
-                kmeans::KmeansConfig::low(scale, kv, gran)
-            };
-            measure(&|| kmeans::Kmeans::new(cfg, seed), machine, params)
-        }
-        BenchId::Ssca2 => {
-            let cfg = ssca2::Ssca2Config::at(scale);
-            measure(&|| ssca2::Ssca2::new(cfg, seed), machine, params)
-        }
-        BenchId::VacationHigh | BenchId::VacationLow => {
-            let vv = match variant {
-                Variant::Original => vacation::VacationVariant::Original,
-                Variant::Modified => vacation::VacationVariant::Modified,
-            };
-            let cfg = if id == BenchId::VacationHigh {
-                vacation::VacationConfig::high(scale, vv)
-            } else {
-                vacation::VacationConfig::low(scale, vv)
-            };
-            measure(&|| vacation::Vacation::new(cfg, seed), machine, params)
-        }
-        BenchId::Genome => {
-            let cfg = genome::GenomeConfig::at(
-                scale,
-                match variant {
-                    Variant::Original => genome::GenomeVariant::Original,
-                    Variant::Modified => genome::GenomeVariant::Modified { platform },
-                },
-            );
-            measure(&|| genome::Genome::new(cfg, seed), machine, params)
-        }
-        BenchId::Intruder => {
-            let iv = match variant {
-                Variant::Original => intruder::IntruderVariant::Original,
-                Variant::Modified => intruder::IntruderVariant::Modified,
-            };
-            let cfg = intruder::IntruderConfig::at(scale, iv);
-            measure(&|| intruder::Intruder::new(cfg, seed), machine, params)
-        }
-        BenchId::Labyrinth => {
-            let cfg = labyrinth::LabyrinthConfig::at(scale);
-            measure(&|| labyrinth::Labyrinth::new(cfg, seed), machine, params)
-        }
-        BenchId::Yada => {
-            let cfg = yada::YadaConfig::at(scale);
-            measure(&|| yada::Yada::new(cfg, seed), machine, params)
-        }
-        BenchId::Bayes => {
-            let cfg = bayes::BayesConfig::at(scale);
-            measure(&|| bayes::Bayes::new(cfg, seed), machine, params)
-        }
-    }
+    measure(&*workload_factory(id, variant, machine, params.scale, params.seed), machine, params)
 }
 
 /// Runs one benchmark cell through the differential oracle
-/// ([`run_oracle_with`]): sequential reference + certified parallel run
-/// under the cell's fallback policy, with result-digest cross-checking
-/// where the workload supports it.
+/// ([`run_oracle`]): sequential reference + certified parallel run under
+/// the cell's fallback policy, with result-digest cross-checking where the
+/// workload supports it.
 ///
 /// # Panics
 ///
@@ -228,16 +172,7 @@ pub fn run_bench_oracle(
     machine: &MachineConfig,
     params: &BenchParams,
 ) -> htm_runtime::RunStats {
-    let make = workload_factory(id, variant, machine, params.scale, params.seed);
-    run_oracle_with(
-        &make,
-        machine,
-        params.threads,
-        params.policy,
-        params.seed,
-        params.faults,
-        params.fallback,
-    )
+    run_oracle(&*workload_factory(id, variant, machine, params.scale, params.seed), machine, params)
 }
 
 /// Runs one benchmark sequentially under the footprint tracer, returning
@@ -250,83 +185,21 @@ pub fn trace_bench(
     granularities: &[u32],
     seed: u64,
 ) -> htm_runtime::SeqTracer {
-    let gran = machine.granularity;
-    let platform = machine.platform;
-    match id {
-        BenchId::KmeansHigh | BenchId::KmeansLow => {
-            let kv = match variant {
-                Variant::Original => kmeans::KmeansVariant::Original,
-                Variant::Modified => kmeans::KmeansVariant::Modified,
-            };
-            let cfg = if id == BenchId::KmeansHigh {
-                kmeans::KmeansConfig::high(scale, kv, gran)
-            } else {
-                kmeans::KmeansConfig::low(scale, kv, gran)
-            };
-            trace_footprints(&|| kmeans::Kmeans::new(cfg, seed), machine, granularities, seed)
-        }
-        BenchId::Ssca2 => trace_footprints(
-            &|| ssca2::Ssca2::new(ssca2::Ssca2Config::at(scale), seed),
-            machine,
-            granularities,
-            seed,
-        ),
-        BenchId::VacationHigh | BenchId::VacationLow => {
-            let vv = match variant {
-                Variant::Original => vacation::VacationVariant::Original,
-                Variant::Modified => vacation::VacationVariant::Modified,
-            };
-            let cfg = if id == BenchId::VacationHigh {
-                vacation::VacationConfig::high(scale, vv)
-            } else {
-                vacation::VacationConfig::low(scale, vv)
-            };
-            trace_footprints(&|| vacation::Vacation::new(cfg, seed), machine, granularities, seed)
-        }
-        BenchId::Genome => {
-            let cfg = genome::GenomeConfig::at(
-                scale,
-                match variant {
-                    Variant::Original => genome::GenomeVariant::Original,
-                    Variant::Modified => genome::GenomeVariant::Modified { platform },
-                },
-            );
-            trace_footprints(&|| genome::Genome::new(cfg, seed), machine, granularities, seed)
-        }
-        BenchId::Intruder => {
-            let iv = match variant {
-                Variant::Original => intruder::IntruderVariant::Original,
-                Variant::Modified => intruder::IntruderVariant::Modified,
-            };
-            let cfg = intruder::IntruderConfig::at(scale, iv);
-            trace_footprints(&|| intruder::Intruder::new(cfg, seed), machine, granularities, seed)
-        }
-        BenchId::Labyrinth => trace_footprints(
-            &|| labyrinth::Labyrinth::new(labyrinth::LabyrinthConfig::at(scale), seed),
-            machine,
-            granularities,
-            seed,
-        ),
-        BenchId::Yada => trace_footprints(
-            &|| yada::Yada::new(yada::YadaConfig::at(scale), seed),
-            machine,
-            granularities,
-            seed,
-        ),
-        BenchId::Bayes => trace_footprints(
-            &|| bayes::Bayes::new(bayes::BayesConfig::at(scale), seed),
-            machine,
-            granularities,
-            seed,
-        ),
-    }
+    trace_footprints(
+        &*workload_factory(id, variant, machine, scale, seed),
+        machine,
+        granularities,
+        seed,
+    )
 }
 
-/// The workload constructor selected by `(id, variant)`, type-erased.
+/// The workload constructor selected by `(id, variant)`, type-erased: the
+/// crate's one benchmark registry.
 ///
-/// Analysis drivers (`htm-lint`) run every benchmark through
-/// [`run_sanitized`] and [`trace_line_sets`] with a single code path;
-/// `Box<dyn Workload>` itself implements [`Workload`], so the returned
+/// Every per-benchmark runner ([`run_bench`], [`run_bench_oracle`],
+/// [`trace_bench`]) and every external driver (the experiment engine, the
+/// host benchmark) builds its workloads here. `Box<dyn Workload>` itself
+/// implements [`Workload`], forwarding every method, so the returned
 /// closure plugs straight into any `&dyn Fn() -> W` runner.
 pub fn workload_factory(
     id: BenchId,

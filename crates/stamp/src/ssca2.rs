@@ -196,9 +196,7 @@ mod tests {
         let stats = run_parallel(
             &|| Ssca2::new(Ssca2Config::at(Scale::Tiny), 11),
             &Platform::BlueGeneQ.config(),
-            4,
-            htm_runtime::RetryPolicy::default(),
-            11,
+            &BenchParams { threads: 4, seed: 11, ..Default::default() },
         );
         let waits: u64 = stats.threads.iter().map(|t| t.spec_id_wait_cycles).sum();
         assert!(waits > 0, "512 short transactions must exhaust 128 spec IDs");

@@ -417,9 +417,7 @@ mod tests {
                     )
                 },
                 &p,
-                4,
-                htm_runtime::RetryPolicy::default(),
-                13,
+                &BenchParams { threads: 4, seed: 13, ..Default::default() },
             )
         };
         let orig = run(VacationVariant::Original);

@@ -349,9 +349,7 @@ mod tests {
             crate::common::run_parallel(
                 &|| Yada::new(cfg, 29),
                 &machine,
-                2,
-                htm_runtime::RetryPolicy::default(),
-                29,
+                &BenchParams { threads: 2, seed: 29, ..Default::default() },
             )
         };
         let p8 = run(Platform::Power8.config());

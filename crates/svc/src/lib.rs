@@ -40,8 +40,8 @@ pub mod zipf;
 use htm_analyze::{hot_keys, ConflictMatrix, HotKey};
 use htm_hytm::FallbackPolicy;
 use htm_machine::MachineConfig;
-use htm_runtime::{RetryPolicy, RunStats, Sim, SimConfig};
-use stamp::Scale;
+use htm_runtime::{RetryPolicy, RunStats};
+use stamp::{BenchParams, Scale};
 
 pub use store::Store;
 pub use traffic::{Op, Request, SvcParams, Traffic};
@@ -91,17 +91,16 @@ pub fn blame_hot_keys(
     seed: u64,
     fallback: FallbackPolicy,
 ) -> (RunStats, Vec<HotKey>) {
-    use stamp::Workload;
     let w = SvcWorkload::new(*params, seed);
-    let mem = w.mem_words().max(1 << 20);
-    let sim = Sim::new(
-        SimConfig::new(machine.clone()).mem_words(mem).seed(seed).sanitize(true).fallback(fallback),
-    );
-    w.setup(&sim);
-    let threads = threads_for(params);
-    w.prepare(threads);
-    let stats = sim.run_parallel(threads, policy, |ctx| w.work(ctx));
-    w.verify(&sim);
+    let run = BenchParams {
+        threads: threads_for(params),
+        policy,
+        seed,
+        sanitize: true,
+        fallback,
+        ..BenchParams::default()
+    };
+    let (stats, _) = stamp::run_instance(&w, machine, &run);
     let wpl = machine.granularity.max(8) / 8;
     let key_lines = w.store().key_lines(wpl);
     let matrix = ConflictMatrix::from_stats(&stats);

@@ -291,7 +291,7 @@ impl Workload for SvcWorkload {
 mod tests {
     use super::*;
     use htm_machine::Platform;
-    use stamp::{measure, run_oracle_with, BenchParams, Scale};
+    use stamp::{measure, run_oracle, BenchParams, Scale};
 
     fn tiny_params() -> SvcParams {
         SvcParams { sessions: 120, keys_per_shard: 64, ..Default::default() }
@@ -302,15 +302,7 @@ mod tests {
         let params = tiny_params();
         let machine = Platform::IntelCore.config();
         let make = || SvcWorkload::new(params, 11);
-        run_oracle_with(
-            &make,
-            &machine,
-            3,
-            Default::default(),
-            11,
-            htm_runtime::FaultPlan::none(),
-            htm_hytm::FallbackPolicy::Lock,
-        );
+        run_oracle(&make, &machine, &BenchParams { threads: 3, seed: 11, ..Default::default() });
     }
 
     #[test]

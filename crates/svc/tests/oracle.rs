@@ -8,9 +8,9 @@
 //! and the oracle must still hold.
 
 use htm_machine::Platform;
-use htm_runtime::{FallbackPolicy, FaultPlan, RetryPolicy};
+use htm_runtime::{FallbackPolicy, FaultPlan};
 use htm_svc::{threads_for, SvcParams, SvcWorkload};
-use stamp::run_oracle_with;
+use stamp::{run_oracle, BenchParams};
 
 /// The full fallback ladder the svc experiment crosses (the three
 /// `FallbackPolicy::ALL` tiers plus the adaptive controller).
@@ -30,7 +30,7 @@ fn small(skew_permille: u32) -> SvcParams {
     }
 }
 
-/// `run_oracle_with` runs the sequential reference, then the certified
+/// `run_oracle` runs the sequential reference, then the certified
 /// parallel run, and panics internally if the committed schedule is not
 /// conflict-serializable or the digests diverge — so each call here *is*
 /// the assertion; the explicit check just documents what must hold.
@@ -42,15 +42,14 @@ fn oracle(
     faults: FaultPlan,
 ) -> htm_runtime::RunStats {
     let params = small(skew);
-    let stats = run_oracle_with(
-        &|| SvcWorkload::new(params, seed),
-        &platform.config(),
-        threads_for(&params),
-        RetryPolicy::default(),
+    let run = BenchParams {
+        threads: threads_for(&params),
         seed,
         faults,
-        fb,
-    );
+        fallback: fb,
+        ..Default::default()
+    };
+    let stats = run_oracle(&|| SvcWorkload::new(params, seed), &platform.config(), &run);
     assert!(
         stats.certify.as_ref().is_some_and(|r| r.ok()),
         "{platform}/{fb}/z{skew}: committed schedule must serialize"
