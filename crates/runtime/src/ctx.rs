@@ -17,7 +17,7 @@
 //! [`ThreadCtx::try_rollback_only`] (POWER8 rollback-only transactions).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -29,7 +29,7 @@ use htm_hytm::{FallbackPolicy, ROT_RETRIES, STM_COMMIT_RETRIES};
 use htm_machine::{BgqMode, Machine, Platform};
 
 use crate::lock::GlobalLock;
-use crate::replay::{AttemptRecord, BlockRecord, Turnstile, TxPath};
+use crate::replay::{AttemptRecord, BlockRecord, TxPath};
 use crate::stats::ThreadStats;
 use crate::tx::{ExecMode, Tx, TxnEngine};
 
@@ -184,11 +184,22 @@ enum Outcome<R> {
     Aborted(AbortCause),
 }
 
-/// Replay state: this thread's recorded blocks plus the global turnstile
-/// serializing commits in recorded order.
+/// Record state: the finished blocks, the open block's aborted attempts,
+/// and the workload-RNG draws and injected faults counted when the current
+/// attempt began.
+#[derive(Default)]
+struct Recorder {
+    blocks: Vec<BlockRecord>,
+    open: Vec<AttemptRecord>,
+    draws: u64,
+    faults: u64,
+}
+
+/// Replay state: this thread's recorded blocks plus the run's next commit
+/// order, shared by every worker.
 struct Replayer {
     blocks: VecDeque<BlockRecord>,
-    turnstile: Turnstile,
+    turn: Arc<AtomicU64>,
 }
 
 /// Per-worker-thread execution context.
@@ -210,8 +221,8 @@ pub struct ThreadCtx {
     /// Extra backoff doublings from watchdog trips (0 until the first trip,
     /// so untripped runs are bit-identical to pre-watchdog behaviour).
     trip_shift: u32,
-    /// Recorded atomic blocks (record mode only).
-    recorder: Option<Vec<BlockRecord>>,
+    /// The decision stream being recorded (record mode only).
+    recorder: Option<Recorder>,
     /// Trace being replayed (replay mode only).
     replayer: Option<Replayer>,
     /// The global lock's vector clock (sanitizer runs only): irrevocable
@@ -268,19 +279,19 @@ impl ThreadCtx {
 
     /// Starts recording this thread's atomic-block decision stream.
     pub(crate) fn enable_recording(&mut self) {
-        self.recorder = Some(Vec::new());
+        self.recorder = Some(Recorder::default());
         self.eng.set_log_allocs(true);
     }
 
     /// Takes the recorded blocks (end of a record-mode run).
     pub(crate) fn take_recording(&mut self) -> Vec<BlockRecord> {
-        self.recorder.take().unwrap_or_default()
+        self.recorder.take().map(|r| r.blocks).unwrap_or_default()
     }
 
-    /// Puts this thread into replay mode, following `blocks` and the shared
-    /// commit `turnstile`.
-    pub(crate) fn enable_replay(&mut self, blocks: Vec<BlockRecord>, turnstile: Turnstile) {
-        self.replayer = Some(Replayer { blocks: blocks.into(), turnstile });
+    /// Puts this thread into replay mode, following `blocks`; `turn` is the
+    /// run's next commit order, shared by every worker.
+    pub(crate) fn enable_replay(&mut self, blocks: Vec<BlockRecord>, turn: Arc<AtomicU64>) {
+        self.replayer = Some(Replayer { blocks: blocks.into(), turn });
         self.eng.set_replay_mode(true);
     }
 
@@ -559,7 +570,7 @@ impl ThreadCtx {
             // entirely for a while instead of burning attempts a starved
             // thread has no hope of committing.
             self.degraded_left -= 1;
-            self.irrevocable_block(&mut body, Vec::new(), true, false)
+            self.irrevocable_block(&mut body, true, false)
         } else {
             self.retry_hw(&mut body, is_bgq)
         };
@@ -595,7 +606,6 @@ impl ThreadCtx {
             self.policy.bgq_retries
         };
         let mut attempt = 0u32;
-        let mut rec = Vec::new();
         loop {
             // Figure 1 line 9: wait for the lock (lemming avoidance).
             if self.wait_for_lock() > 0 {
@@ -605,15 +615,14 @@ impl ThreadCtx {
                 let jitter = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..512u64);
                 self.tick(jitter);
             }
-            let snap = self.attempt_snapshot();
             let cause = match self.attempt(body, TxPath::Hw, lazy_subscription) {
                 Outcome::Committed(r) => {
-                    self.finish_block(rec, TxPath::Hw);
+                    self.finish_block(TxPath::Hw);
                     return r;
                 }
                 Outcome::Aborted(cause) => cause,
             };
-            let (_, lock_related) = self.count_abort(&mut rec, snap, cause, TxPath::Hw, is_bgq);
+            let (_, lock_related) = self.count_abort(cause, TxPath::Hw, is_bgq);
             let retry = if is_bgq {
                 consume(&mut bgq_retries)
             } else if lock_related {
@@ -624,7 +633,7 @@ impl ThreadCtx {
                 consume(&mut transient_retries)
             };
             if !retry {
-                return self.run_fallback(body, rec);
+                return self.run_fallback(body);
             }
             // Randomized exponential backoff between retries (Blue Gene/Q's
             // system software and every practical retry handler do this);
@@ -632,7 +641,7 @@ impl ThreadCtx {
             // decorrelating the contenders.
             attempt += 1;
             if self.watchdog.starved(attempt) {
-                return self.irrevocable_block(body, rec, true, true);
+                return self.irrevocable_block(body, true, true);
             }
             let ceiling = 32u64 << (attempt.min(7) + self.trip_shift);
             let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..ceiling);
@@ -642,19 +651,15 @@ impl ThreadCtx {
 
     /// Runs the fallback tier after the retry counters are exhausted,
     /// according to the configured [`FallbackPolicy`].
-    fn run_fallback<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        rec: Vec<AttemptRecord>,
-    ) -> R {
+    fn run_fallback<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
         match self.effective_fallback() {
-            FallbackPolicy::Lock => self.irrevocable_block(body, rec, false, false),
-            FallbackPolicy::Rot => self.run_soft_block(body, rec, TxPath::Rot),
+            FallbackPolicy::Lock => self.irrevocable_block(body, false, false),
+            FallbackPolicy::Rot => self.run_soft_block(body, TxPath::Rot),
             // The adaptive path dispatches tiers itself and never reaches
             // this point; a direct caller gets the software tier, whose
             // bounded retries still end at the irrevocable path.
             FallbackPolicy::Stm | FallbackPolicy::Adaptive => {
-                self.run_soft_block(body, rec, TxPath::Stm)
+                self.run_soft_block(body, TxPath::Stm)
             }
         }
     }
@@ -664,6 +669,8 @@ impl ThreadCtx {
     // ------------------------------------------------------------------
 
     /// One transactional attempt on `path`: begin, run the body, commit.
+    /// When recording, it first notes the workload-RNG draws and injected
+    /// faults so far, so that an abort records what the attempt consumed.
     ///
     /// Only a plain hardware attempt subscribes to the global lock (before
     /// the body, or after it under `lazy_subscription`). The software-
@@ -676,6 +683,13 @@ impl ThreadCtx {
         path: TxPath,
         lazy_subscription: bool,
     ) -> Outcome<R> {
+        if let Some(rec) = &mut self.recorder {
+            // Drop allocation entries left over from the previous block's
+            // committed attempt (committed bodies re-execute on replay).
+            let _ = self.eng.take_alloc_log();
+            rec.draws = self.eng.rng_draws();
+            rec.faults = self.eng.stats.injected_faults;
+        }
         match path {
             TxPath::Hw => self.eng.begin_hw(false, false),
             TxPath::Constrained => self.eng.begin_hw(false, true),
@@ -773,10 +787,10 @@ impl ThreadCtx {
         waited
     }
 
-    /// Accounts one aborted attempt on `path` and, when recording, appends
-    /// it to `rec` with the workload-RNG draws, injected faults and
-    /// allocations its body consumed since `snap`. Returns the abort's
-    /// Figure-3 category and whether it is lock-related.
+    /// Accounts one aborted attempt on `path` and, when recording, adds it
+    /// to the open block with the workload-RNG draws, injected faults and
+    /// allocations its body consumed. Returns the abort's Figure-3 category
+    /// and whether it is lock-related.
     ///
     /// A software-validation failure counts in
     /// [`ThreadStats::stm_validation_aborts`], outside the hardware
@@ -785,8 +799,6 @@ impl ThreadCtx {
     /// counter.
     fn count_abort(
         &mut self,
-        rec: &mut Vec<AttemptRecord>,
-        snap: Option<(u64, u64)>,
         cause: AbortCause,
         path: TxPath,
         is_bgq: bool,
@@ -798,12 +810,12 @@ impl ThreadCtx {
         } else {
             self.classify_and_record(cause, is_bgq)
         };
-        if let Some((draws0, faults0)) = snap {
-            rec.push(AttemptRecord {
+        if let Some(rec) = &mut self.recorder {
+            rec.open.push(AttemptRecord {
                 cause: cause.encode(),
                 category: category.index() as u8,
-                faults: (self.eng.stats.injected_faults - faults0) as u32,
-                draws: self.eng.rng_draws() - draws0,
+                faults: (self.eng.stats.injected_faults - rec.faults) as u32,
+                draws: self.eng.rng_draws() - rec.draws,
                 allocs: self.eng.take_alloc_log(),
             });
         }
@@ -833,11 +845,12 @@ impl ThreadCtx {
         (category, lock_related)
     }
 
-    /// Records a finished block (record mode only): its aborted attempts
-    /// and the path it committed on, stamped with its commit order.
-    fn finish_block(&mut self, attempts: Vec<AttemptRecord>, path: TxPath) {
+    /// Closes the open block (record mode only): its aborted attempts and
+    /// the path it committed on, stamped with its commit order.
+    fn finish_block(&mut self, path: TxPath) {
         if let Some(rec) = &mut self.recorder {
-            rec.push(BlockRecord { attempts, path, order: self.eng.last_commit_seq() });
+            let attempts = std::mem::take(&mut rec.open);
+            rec.blocks.push(BlockRecord { attempts, path, order: self.eng.last_commit_seq() });
         }
     }
 
@@ -854,7 +867,6 @@ impl ThreadCtx {
     fn irrevocable_block<R>(
         &mut self,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        attempts: Vec<AttemptRecord>,
         degraded: bool,
         trip: bool,
     ) -> R {
@@ -880,32 +892,24 @@ impl ThreadCtx {
             self.eng.stats.degraded_cycles += self.eng.clock().now() - start;
             self.eng.stats.degraded_commits += 1;
         }
-        self.finish_block(attempts, TxPath::Irrevocable { degraded, trip });
+        self.finish_block(TxPath::Irrevocable { degraded, trip });
         r
     }
 
     // ------------------------------------------------------------------
-    // Record/replay plumbing
+    // Replay
     // ------------------------------------------------------------------
-
-    /// Snapshot taken before an attempt so an abort can be recorded with
-    /// the workload-RNG draws and allocations its body consumed. `None`
-    /// when not recording (the common case: zero overhead).
-    fn attempt_snapshot(&mut self) -> Option<(u64, u64)> {
-        if self.recorder.is_some() {
-            // Drop allocation entries left over from the previous block's
-            // committed attempt (committed bodies re-execute on replay).
-            let _ = self.eng.take_alloc_log();
-            Some((self.eng.rng_draws(), self.eng.stats.injected_faults))
-        } else {
-            None
-        }
-    }
 
     /// Replays one atomic block from the trace: re-applies the aborted
     /// attempts' bookkeeping (statistics, RNG draws, allocations) without
-    /// re-executing their bodies, then executes the committing body once,
-    /// serialized by the turnstile in recorded commit order.
+    /// re-executing their bodies, then waits for the block's turn in the
+    /// recorded commit order and executes the committing body once.
+    ///
+    /// The wait is a [`Wait`]: under the replay's scheduler the thread
+    /// pauses Blocked and is probed again in its rotation turn. A turn that
+    /// can never come (the workload stopped before a recorded block) leaves
+    /// every live thread blocked, and the scheduler ends the run with its
+    /// deadlock diagnostic.
     fn replay_block<R>(&mut self, body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>) -> R {
         let rec = self
             .replayer
@@ -930,25 +934,26 @@ impl ThreadCtx {
                 let _ = self.eng.alloc_mut().alloc(words);
             }
         }
-        let turnstile = self.replayer.as_ref().expect("replayer present").turnstile.clone();
-        turnstile.await_turn(rec.order);
+        let turn = Arc::clone(&self.replayer.as_ref().expect("replayer present").turn);
+        let mut wait = Wait::new(1);
+        while turn.load(Ordering::SeqCst) != rec.order {
+            wait.round();
+        }
         let r = match rec.path {
-            TxPath::Irrevocable { degraded, trip } => {
-                self.irrevocable_block(body, Vec::new(), degraded, trip)
-            }
+            TxPath::Irrevocable { degraded, trip } => self.irrevocable_block(body, degraded, trip),
             path => self.replay_committed(body, path),
         };
-        turnstile.advance();
+        turn.fetch_add(1, Ordering::SeqCst);
         r
     }
 
     /// Executes a block recorded as a transactional commit on `path` by
-    /// attempting it on that path until it commits. The turnstile
-    /// serializes all replayed blocks, so the attempt cannot conflict with
-    /// another transaction and commits on its recorded path; unexpected
-    /// aborts (e.g. a racing non-transactional store from workload code
-    /// outside any atomic block) are retried with the workload RNG restored
-    /// so the body's draw stream stays identical.
+    /// attempting it on that path until it commits. Replayed blocks run one
+    /// at a time in recorded commit order, so the attempt cannot conflict
+    /// with another transaction and commits on its recorded path;
+    /// unexpected aborts (e.g. a racing non-transactional store from
+    /// workload code outside any atomic block) are retried with the
+    /// workload RNG restored so the body's draw stream stays identical.
     fn replay_committed<R>(
         &mut self,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
@@ -994,22 +999,20 @@ impl ThreadCtx {
     fn run_soft_block<R>(
         &mut self,
         body: &mut impl FnMut(&mut Tx<'_>) -> TxResult<R>,
-        mut rec: Vec<AttemptRecord>,
         path: TxPath,
     ) -> R {
         let mut retries = if path == TxPath::Stm { STM_COMMIT_RETRIES } else { ROT_RETRIES };
         loop {
             self.wait_for_lock();
-            let snap = self.attempt_snapshot();
             match self.attempt(body, path, false) {
                 Outcome::Committed(r) => {
-                    self.finish_block(rec, path);
+                    self.finish_block(path);
                     return r;
                 }
                 Outcome::Aborted(cause) => {
-                    self.count_abort(&mut rec, snap, cause, path, false);
+                    self.count_abort(cause, path, false);
                     if !consume(&mut retries) {
-                        return self.irrevocable_block(body, rec, false, false);
+                        return self.irrevocable_block(body, false, false);
                     }
                     let pause = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..256u64);
                     self.tick(pause);
@@ -1035,9 +1038,9 @@ impl ThreadCtx {
         let r = match tier {
             Tier::Hw => self.run_adaptive_hw(body, TxPath::Hw),
             Tier::Spill => self.run_adaptive_hw(body, TxPath::Spill),
-            Tier::Rot => self.run_soft_block(body, Vec::new(), TxPath::Rot),
-            Tier::Stm => self.run_soft_block(body, Vec::new(), TxPath::Stm),
-            Tier::Lock => self.irrevocable_block(body, Vec::new(), false, false),
+            Tier::Rot => self.run_soft_block(body, TxPath::Rot),
+            Tier::Stm => self.run_soft_block(body, TxPath::Stm),
+            Tier::Lock => self.irrevocable_block(body, false, false),
         };
         if let Some(adapt) = &mut self.adapt {
             let aborts = self.eng.stats.aborts;
@@ -1092,21 +1095,19 @@ impl ThreadCtx {
         let mut persistent_retries = self.policy.persistent_retries;
         let mut transient_retries = self.policy.transient_retries;
         let mut attempt = 0u32;
-        let mut rec = Vec::new();
         loop {
             if self.wait_for_lock() > 0 {
                 let jitter = rand::Rng::gen_range(self.eng.sched_rng_mut(), 0..512u64);
                 self.tick(jitter);
             }
-            let snap = self.attempt_snapshot();
             let cause = match self.attempt(body, path, false) {
                 Outcome::Committed(r) => {
-                    self.finish_block(rec, path);
+                    self.finish_block(path);
                     return r;
                 }
                 Outcome::Aborted(cause) => cause,
             };
-            let (category, lock_related) = self.count_abort(&mut rec, snap, cause, path, is_bgq);
+            let (category, lock_related) = self.count_abort(cause, path, is_bgq);
             if path == TxPath::Hw && has_spill && cause.is_capacity() {
                 path = TxPath::Spill;
             }
@@ -1120,7 +1121,7 @@ impl ThreadCtx {
             if !retry {
                 // Within-block escalation always lands on a terminating
                 // software tier.
-                return self.run_soft_block(body, rec, TxPath::Stm);
+                return self.run_soft_block(body, TxPath::Stm);
             }
             // Backoff de-synchronizes *contending* threads; an injected
             // fault or a capacity overflow is not contention, and pausing
@@ -1137,7 +1138,7 @@ impl ThreadCtx {
                 if let Some(adapt) = &mut self.adapt {
                     adapt.starvation_rescue();
                 }
-                return self.irrevocable_block(body, rec, true, true);
+                return self.irrevocable_block(body, true, true);
             }
             if contention {
                 let ceiling = AdaptiveController::backoff_ceiling(attempt, self.trip_shift);
@@ -1184,37 +1185,35 @@ impl ThreadCtx {
         }
         if self.degraded_left > 0 {
             self.degraded_left -= 1;
-            return self.irrevocable_block(&mut body, Vec::new(), true, false);
+            return self.irrevocable_block(&mut body, true, false);
         }
         // Lock-busy aborts re-elide after the lock frees (as the standard
         // elision runtimes do); only a *data* abort re-executes with the
         // lock held. Without this, one fallback dooms every elided peer,
         // whose fallbacks doom the next wave — a permanent convoy.
         let mut attempts = 0u32;
-        let mut rec = Vec::new();
         loop {
             self.wait_for_lock();
-            let snap = self.attempt_snapshot();
             let cause = match self.attempt(&mut body, TxPath::Hw, false) {
                 Outcome::Committed(r) => {
-                    self.finish_block(rec, TxPath::Hw);
+                    self.finish_block(TxPath::Hw);
                     return r;
                 }
                 Outcome::Aborted(cause) => cause,
             };
-            let (_, lock_related) = self.count_abort(&mut rec, snap, cause, TxPath::Hw, false);
+            let (_, lock_related) = self.count_abort(cause, TxPath::Hw, false);
             // Non-transactional conflicts come from a peer's irrevocable
             // section (the convoy), not from program data: re-elide those
             // too.
             if !lock_related && cause != AbortCause::ConflictNonTx {
-                return self.irrevocable_block(&mut body, rec, false, false);
+                return self.irrevocable_block(&mut body, false, false);
             }
             attempts += 1;
             if self.watchdog.starved(attempts) {
                 // The re-elide loop has no retry counter of its own, so
                 // under an injected abort storm the watchdog is its only
                 // exit.
-                return self.irrevocable_block(&mut body, rec, true, true);
+                return self.irrevocable_block(&mut body, true, true);
             }
         }
     }
@@ -1246,19 +1245,17 @@ impl ThreadCtx {
             return self.replay_block(&mut body);
         }
         let mut attempts = 0u32;
-        let mut rec = Vec::new();
         loop {
             let escalated = attempts >= 4;
             let _token = escalated.then(|| Arbiter::acquire(Arc::clone(&self.constrained_arbiter)));
-            let snap = self.attempt_snapshot();
             let cause = match self.attempt(&mut body, TxPath::Constrained, false) {
                 Outcome::Committed(r) => {
-                    self.finish_block(rec, TxPath::Constrained);
+                    self.finish_block(TxPath::Constrained);
                     return r;
                 }
                 Outcome::Aborted(cause) => cause,
             };
-            self.count_abort(&mut rec, snap, cause, TxPath::Constrained, false);
+            self.count_abort(cause, TxPath::Constrained, false);
             attempts += 1;
             if self.watchdog.starved(attempts) && attempts == self.watchdog.starvation_bound {
                 // Constrained transactions have no fallback to degrade to

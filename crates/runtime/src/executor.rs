@@ -20,7 +20,8 @@ use htm_machine::{Machine, MachineConfig};
 use crate::ctx::{Arbiter, RetryPolicy, ThreadCtx, WatchdogConfig};
 use crate::faults::{FaultPlan, FaultState};
 use crate::lock::GlobalLock;
-use crate::replay::{BlockRecord, ScheduleTrace, Turnstile};
+use crate::replay::{BlockRecord, ScheduleTrace};
+use crate::sched::RoundRobin;
 use crate::stats::{RunStats, ThreadStats};
 use crate::trace::SeqTracer;
 use crate::tx::{ExecMode, TxnEngine};
@@ -274,8 +275,10 @@ impl Sim {
     /// scheduler grant. Its runs then execute their workers as fibers on
     /// the calling thread ([`fiber`](crate::fiber)), where a grant is a
     /// register switch instead of an OS-thread wake; simulated results do
-    /// not change. [`Sim::replay`] keeps OS threads, as does every run on
-    /// targets other than x86_64 Linux.
+    /// not change. On targets other than x86_64 Linux the workers stay OS
+    /// threads and wait for their grants on condvars. A cooperative `Sim`
+    /// cannot [`replay`](Sim::replay): a replay installs a scheduler of its
+    /// own.
     ///
     /// Every wait inside the engine (global lock, line claim, committing
     /// slot, hybrid epoch, speculation ID, replay turn, zEC12 constrained
@@ -478,17 +481,30 @@ impl Sim {
     /// Re-executes a recorded run: `work` must be the same workload the
     /// trace was recorded from, on a freshly-built identical `Sim`. Aborted
     /// attempts are re-applied from the trace (not re-executed) and the
-    /// committing bodies run serialized in recorded commit order, so the
+    /// committing bodies run one at a time in recorded commit order, so the
     /// deterministic [`RunStats`] counters (commits, aborts, injected
     /// faults, watchdog trips) and the final memory image match the
     /// recorded run. Fault injection, the watchdog and zEC12 restriction
     /// draws are disabled — those decisions are already in the trace.
     ///
+    /// The workers run under a round-robin
+    /// [`sched::Scheduler`](crate::sched::Scheduler) the runtime installs,
+    /// as fibers on the calling thread on x86_64 Linux: a worker whose block
+    /// has not come up in the commit order pauses Blocked and is probed
+    /// again in its turn. So, as on a [cooperative](Sim::declare_cooperative)
+    /// run, the workers may wait for each other only through the engine or
+    /// an [`htm_core::coop::Wait`]: a replayed worker that spins on a host
+    /// atomic, or holds a `std::sync::Mutex` across an atomic block, hangs
+    /// the replay. The workload must not install a scheduler of its own.
+    ///
     /// # Errors
     ///
     /// Same failure modes as [`Sim::try_run_parallel`], plus
-    /// [`SimError::InvalidConfig`] when the workload does not consume
-    /// exactly the recorded blocks (replay divergence).
+    /// [`SimError::InvalidConfig`] on a cooperative `Sim` and when the
+    /// workload does not consume exactly the recorded blocks (replay
+    /// divergence), and [`SimError::WorkerPanicked`] with the scheduler's
+    /// deadlock diagnostic when a recorded block's turn can never come (the
+    /// workload stopped before a block that others wait for).
     pub fn replay<F>(
         &self,
         trace: &ScheduleTrace,
@@ -498,7 +514,20 @@ impl Sim {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        self.run_parallel_core(trace.threads(), policy, work, RunMode::Replay(trace))
+        if self.cooperative.load(Ordering::Relaxed) {
+            return Err(SimError::InvalidConfig(
+                "a replay installs its own scheduler, so it cannot run on a cooperative Sim".into(),
+            ));
+        }
+        let sched = RoundRobin::new(trace.threads());
+        let scheduled = |ctx: &mut ThreadCtx| {
+            let tid = ctx.thread_id();
+            let _hooks = htm_core::coop::install(sched.hooks(tid));
+            let _done = sched.finish_guard(tid);
+            sched.register(tid);
+            work(ctx);
+        };
+        self.run_parallel_core(trace.threads(), policy, scheduled, RunMode::Replay(trace))
             .map(|(stats, _)| stats)
     }
 
@@ -545,7 +574,7 @@ impl Sim {
         // `None` and every engine keeps its zero-overhead read path.
         let hybrid_epoch =
             self.cfg.fallback.uses_software_commits().then(|| Arc::new(AtomicU64::new(0)));
-        let turnstile = Turnstile::new();
+        let turn = Arc::new(AtomicU64::new(0));
         let ctxs: Vec<ThreadCtx> = (0..num_threads)
             .map(|tid| {
                 let mut ctx = self.make_ctx(tid, num_threads, ExecMode::Hardware, policy, !replay);
@@ -565,18 +594,18 @@ impl Sim {
                     RunMode::Normal => {}
                     RunMode::Record => ctx.enable_recording(),
                     RunMode::Replay(trace) => {
-                        ctx.enable_replay(trace.thread_blocks(tid), turnstile.clone());
+                        ctx.enable_replay(trace.thread_blocks(tid), Arc::clone(&turn));
                     }
                 }
                 ctx
             })
             .collect();
         let ends = match () {
-            // A cooperative run's workers take turns under one scheduler, so
-            // they run as fibers on this thread. Replay's turnstile spins
-            // across threads, so replays keep OS threads.
+            // The workers of a cooperative run, and of every replay, take
+            // turns under one scheduler, so they run as fibers on this
+            // thread.
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            () if self.cooperative.load(Ordering::Relaxed) && !replay => {
+            () if replay || self.cooperative.load(Ordering::Relaxed) => {
                 self.run_on_fibers(ctxs, &work)
             }
             () => self.run_on_threads(ctxs, &work),
@@ -949,6 +978,50 @@ mod tests {
     }
 
     #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn replay_workers_run_as_fibers_on_the_calling_thread() {
+        // A replay runs under the scheduler the runtime installs, so its
+        // workers are fibers although the Sim is not declared cooperative.
+        let caller = std::thread::current().id();
+        let on_caller = &std::sync::atomic::AtomicU32::new(0);
+        let work = |a: WordAddr| {
+            move |ctx: &mut ThreadCtx| {
+                if std::thread::current().id() == caller {
+                    on_caller.fetch_add(1, Ordering::Relaxed);
+                }
+                for _ in 0..20 {
+                    ctx.atomic(|tx| {
+                        let v = tx.load(a)?;
+                        tx.store(a, v + 1)
+                    });
+                }
+            }
+        };
+        let s = sim(Platform::IntelCore);
+        let a = s.alloc().alloc(1);
+        let (_, trace) = s.record_parallel(4, RetryPolicy::default(), work(a)).expect("record");
+        assert_eq!(on_caller.swap(0, Ordering::Relaxed), 0, "the recording ran on OS threads");
+        let s2 = sim(Platform::IntelCore);
+        let a2 = s2.alloc().alloc(1);
+        s2.replay(&trace, RetryPolicy::default(), work(a2)).expect("replay");
+        assert_eq!(on_caller.load(Ordering::Relaxed), 4);
+        assert_eq!(s2.read_word(a2), 80);
+    }
+
+    #[test]
+    fn replay_refuses_a_cooperative_sim() {
+        // A cooperative Sim's workload installs its own scheduler, which
+        // would take the grants from the one the replay installs.
+        let idle = |_: &mut ThreadCtx| {};
+        let (_, trace) =
+            sim(Platform::IntelCore).record_parallel(2, RetryPolicy::default(), idle).unwrap();
+        let s = sim(Platform::IntelCore);
+        s.declare_cooperative();
+        let err = s.replay(&trace, RetryPolicy::default(), idle).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+    }
+
+    #[test]
     fn worker_panic_on_fibers_is_named_and_siblings_finish() {
         let s = sim(Platform::IntelCore);
         let a = s.alloc().alloc(1);
@@ -1004,7 +1077,7 @@ mod tests {
         .unwrap_err();
         match err {
             SimError::WorkerPanicked { message, .. } => {
-                assert!(message.contains("svc scheduler deadlock"), "{message}");
+                assert!(message.contains("round-robin scheduler deadlock"), "{message}");
             }
             other => panic!("expected the scheduler's deadlock diagnostic, got {other:?}"),
         }

@@ -1,7 +1,8 @@
 //! Stackful fibers: a cooperative run's workers on the calling thread.
 //!
-//! A cooperative run (see [`Sim::declare_cooperative`](crate::Sim::declare_cooperative))
-//! executes one worker at a time, so its workers need not be OS threads.
+//! A cooperative run (see [`Sim::declare_cooperative`](crate::Sim::declare_cooperative)),
+//! and every [`Sim::replay`](crate::Sim::replay), executes one worker at a
+//! time, so its workers need not be OS threads.
 //! [`run`] executes each body as a fiber on its own guard-paged stack, on
 //! the calling thread, and a scheduler grant becomes a register switch
 //! instead of a futex wake.

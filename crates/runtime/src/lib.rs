@@ -20,7 +20,7 @@
 //!   speculation-ID starvation, delayed lock release) on demand,
 //! * [`executor`] — [`Sim`], building a platform instance and running
 //!   workloads sequentially (the speed-up baseline) or on worker threads
-//!   (a cooperative `Sim`'s workers run as fibers),
+//!   (a cooperative `Sim`'s workers, and a replay's, run as fibers),
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
@@ -30,11 +30,13 @@
 //!   freshness ([`CertifyReport`]),
 //! * [`replay`] — deterministic record/replay: `Sim::record_parallel`
 //!   captures a [`ScheduleTrace`] of every scheduling decision and
-//!   `Sim::replay` re-executes it bit-identically,
+//!   `Sim::replay` re-executes it bit-identically under the round-robin
+//!   scheduler, in recorded commit order,
 //! * [`sched`] — the cooperative scheduler: one worker runs at a time
 //!   through the `htm_core::coop` hooks, and a [`Policy`](sched::Policy)
 //!   picks each grant ([`RoundRobin`](sched::RoundRobin) for the svc
-//!   workload, the model checker's explorer in `htm-model`),
+//!   workload and for replays, the model checker's explorer in
+//!   `htm-model`),
 //! * `fiber` (x86_64 Linux) — stackful fibers: a cooperative run's workers
 //!   on the calling thread, so a scheduler grant is a register switch; the
 //!   crate's only unsafe code,

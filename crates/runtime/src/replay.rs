@@ -14,11 +14,15 @@
 //! already-moved memory would diverge) — their statistics are re-applied,
 //! their RNG draws skipped and their allocations re-issued, so the workload
 //! RNG stream and the per-thread allocator state stay bit-identical.
-//! Committing bodies then execute once each, serialized by a global
-//! turnstile in recorded commit order through the normal engine paths.
-//! Serialized execution cannot conflict, so every replayed body commits on
-//! its recorded path and observes exactly the values the original committed
-//! execution observed (this is the opacity property the certifier checks).
+//! Committing bodies then execute once each, one at a time in recorded
+//! commit order, through the normal engine paths. The workers run under a
+//! round-robin `sched` scheduler: a worker whose block has not come up
+//! waits through `htm_core::coop::Wait`, pausing Blocked until a later
+//! probe finds that its turn has come. Serialized execution cannot
+//! conflict, so every replayed body commits on its recorded path and
+//! observes exactly the values the original committed execution observed
+//! (this is the opacity property the certifier checks). A turn that can
+//! never come ends the run with the scheduler's deadlock diagnostic.
 //!
 //! Replay disables fault injection, the watchdog, and zEC12's probabilistic
 //! restriction aborts: those decisions are already baked into the trace.
@@ -30,8 +34,6 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One aborted attempt inside an atomic block.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,8 +181,9 @@ impl ScheduleTrace {
     /// Every count the text declares is checked: thread sections come in
     /// order and hold their declared number of blocks, each block holds its
     /// declared number of attempts and ends in one commit line, and the
-    /// commit orders are exactly `0..blocks`, each once (anything else
-    /// would stall or break the replay turnstile).
+    /// commit orders are exactly `0..blocks`, each once (a missing or
+    /// repeated order would leave the replay waiting for a turn that never
+    /// comes).
     ///
     /// # Errors
     ///
@@ -350,42 +353,6 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-/// The global turnstile serializing replayed commits in recorded order.
-#[derive(Clone, Debug)]
-pub(crate) struct Turnstile {
-    turn: Arc<AtomicU64>,
-}
-
-impl Turnstile {
-    pub(crate) fn new() -> Turnstile {
-        Turnstile { turn: Arc::new(AtomicU64::new(0)) }
-    }
-
-    /// Blocks until the global turn reaches `order`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the turnstile stalls (replay divergence: the recorded
-    /// predecessor never committed).
-    pub(crate) fn await_turn(&self, order: u64) {
-        const CHECK_EVERY: u64 = 64;
-        let start = std::time::Instant::now();
-        let mut wait = htm_core::coop::Wait::new(CHECK_EVERY);
-        while self.turn.load(Ordering::SeqCst) != order {
-            if wait.round().is_multiple_of(CHECK_EVERY) {
-                assert!(
-                    start.elapsed() < std::time::Duration::from_secs(30),
-                    "replay diverged: turnstile stalled waiting for commit order {order}"
-                );
-            }
-        }
-    }
-
-    pub(crate) fn advance(&self) {
-        self.turn.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,13 +492,5 @@ commit sp 4
         rejects(&format!("{two}commit stm 0\n"), "order 0 repeats");
         assert!(ScheduleTrace::from_text(&format!("htm-schedule-trace v1\n{two}commit stm 1\n"))
             .is_ok());
-    }
-
-    #[test]
-    fn turnstile_orders_turns() {
-        let t = Turnstile::new();
-        t.await_turn(0);
-        t.advance();
-        t.await_turn(1);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! Runs that must interleave the same way every time drive the real
 //! engine through the `htm_core::coop` hooks: the svc service cells
-//! ([`RoundRobin`], bit-identical per seed) and the `htm-model` schedule
+//! ([`RoundRobin`], bit-identical per seed), replays of recorded runs
+//! (`Sim::replay`, also under [`RoundRobin`]) and the `htm-model` schedule
 //! explorer. Every worker installs a [`Hooks`] handle, takes a
 //! [`FinishGuard`] and [`register`](Scheduler::register)s; from then on it
 //! runs only while it holds the grant. A *step* is everything a thread
@@ -310,7 +311,7 @@ impl<P: Policy> Drop for FinishGuard<P> {
 #[derive(Clone, Copy, Debug)]
 pub struct Rotation;
 
-/// The round-robin scheduler the svc workload runs under.
+/// The round-robin scheduler: svc cells and replays run under it.
 pub type RoundRobin = Scheduler<Rotation>;
 
 impl RoundRobin {
@@ -341,7 +342,7 @@ impl Policy for Rotation {
         let n = status.len() as u32;
         if blocked_rounds > 64 * n + 256 {
             return Err(format!(
-                "svc scheduler deadlock: all live threads stayed blocked through \
+                "round-robin scheduler deadlock: all live threads stayed blocked through \
                  {blocked_rounds} probe rounds with no line access from any thread"
             ));
         }
@@ -512,7 +513,7 @@ mod tests {
         for (name, run) in runners() {
             let sched = RoundRobin::new(1);
             let msgs = unwound(run(&sched, vec![blocked_forever()]));
-            assert!(msgs[0].contains("svc scheduler deadlock"), "{name}: {msgs:?}");
+            assert!(msgs[0].contains("round-robin scheduler deadlock"), "{name}: {msgs:?}");
         }
     }
 
@@ -522,7 +523,7 @@ mod tests {
             let sched = RoundRobin::new(3);
             let msgs = unwound(run(&sched, (0..3).map(|_| blocked_forever()).collect()));
             for msg in msgs {
-                assert!(msg.contains("svc scheduler deadlock"), "{name}: {msg}");
+                assert!(msg.contains("round-robin scheduler deadlock"), "{name}: {msg}");
             }
         }
     }
@@ -543,7 +544,10 @@ mod tests {
                 htm_core::coop::point(CoopPoint::Blocked);
             }) as Body;
             let msgs = unwound(run(&sched, vec![t0, blocked_forever()]));
-            assert!(msgs.iter().all(|m| m.contains("svc scheduler deadlock")), "{name}: {msgs:?}");
+            assert!(
+                msgs.iter().all(|m| m.contains("round-robin scheduler deadlock")),
+                "{name}: {msgs:?}"
+            );
             // The count restarts at thread 0's last access and grows by one
             // per grant after it, so the 385th round is thread 0's 192nd
             // poll without an access.

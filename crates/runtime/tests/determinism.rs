@@ -1,6 +1,6 @@
 //! Determinism regression tests (DESIGN.md §5).
 //!
-//! Two guarantees are pinned here:
+//! Three guarantees are pinned here:
 //!
 //! 1. With the empty fault plan and disjoint per-thread data, repeated runs
 //!    of the same configuration are bit-identical in every
@@ -8,7 +8,8 @@
 //! 2. A run recorded under a seeded fault plan replays bit-identically from
 //!    its [`ScheduleTrace`]: same commits, aborts, injected faults,
 //!    watchdog trips, and the same memory digest — including after a
-//!    save/load round trip of the trace through disk.
+//!    save/load round trip of the trace through disk. A replay whose
+//!    workload cannot reach a recorded turn fails at once.
 //! 3. Every commit path of every retry policy (the Figure-1 loop, the
 //!    adaptive tiers, HLE, constrained transactions, watchdog trips and
 //!    their replays) produces exactly the pinned counters, cycles and
@@ -17,7 +18,7 @@
 
 use std::sync::Arc;
 
-use htm_core::WordAddr;
+use htm_core::{SimError, WordAddr};
 use htm_machine::{BgqMode, MachineConfig, Platform};
 use htm_runtime::sched::RoundRobin;
 use htm_runtime::{
@@ -98,15 +99,20 @@ fn contended_sim(plan: FaultPlan, watchdog: WatchdogConfig) -> (Sim, WordAddr) {
 /// for aborted attempts.
 fn contended_work(base: WordAddr) -> impl Fn(&mut ThreadCtx) + Sync {
     move |ctx: &mut ThreadCtx| {
-        let tid = ctx.thread_id() as u64;
         for _ in 0..150 {
-            ctx.atomic(|tx| {
-                let idx = rand::Rng::gen_range(tx.rng(), 0..8u32);
-                let v = tx.load(base.offset(idx))?;
-                tx.store(base.offset(idx), v.wrapping_mul(31).wrapping_add(tid + 1))
-            });
+            contended_block(ctx, base);
         }
     }
+}
+
+/// One atomic block of [`contended_work`].
+fn contended_block(ctx: &mut ThreadCtx, base: WordAddr) {
+    let tid = ctx.thread_id() as u64;
+    ctx.atomic(|tx| {
+        let idx = rand::Rng::gen_range(tx.rng(), 0..8u32);
+        let v = tx.load(base.offset(idx))?;
+        tx.store(base.offset(idx), v.wrapping_mul(31).wrapping_add(tid + 1))
+    });
 }
 
 #[test]
@@ -189,6 +195,44 @@ fn replay_rejects_a_mismatched_workload() {
         })
         .unwrap_err();
     assert!(err.to_string().contains("replay diverged"), "{err}");
+}
+
+#[test]
+fn a_stalled_replay_fails_at_once_with_the_deadlock_diagnostic() {
+    // Recorded under the round-robin scheduler, the two threads' blocks
+    // alternate in the commit order (free-running, thread 0 could finish
+    // before thread 1's 11th block).
+    let (sim, base) = contended_sim(FaultPlan::none(), WatchdogConfig::default());
+    sim.declare_cooperative();
+    let sched = RoundRobin::new(2);
+    let (_, trace) = sim
+        .record_parallel(2, RetryPolicy::default(), |ctx: &mut ThreadCtx| {
+            let tid = ctx.thread_id();
+            let _hooks = htm_core::coop::install(sched.hooks(tid));
+            let _done = sched.finish_guard(tid);
+            sched.register(tid);
+            contended_work(base)(ctx);
+        })
+        .expect("record");
+
+    // Thread 1 stops after 10 of its 150 blocks, so thread 0 reaches a
+    // block whose turn comes after thread 1's 11th and can never come. The
+    // replay's scheduler sees every live thread blocked and ends the run.
+    let (sim2, base2) = contended_sim(FaultPlan::none(), WatchdogConfig::default());
+    let err = sim2
+        .replay(&trace, RetryPolicy::default(), |ctx: &mut ThreadCtx| {
+            let blocks = if ctx.thread_id() == 1 { 10 } else { 150 };
+            for _ in 0..blocks {
+                contended_block(ctx, base2);
+            }
+        })
+        .unwrap_err();
+    match err {
+        SimError::WorkerPanicked { thread: 0, ref message } => {
+            assert!(message.contains("round-robin scheduler deadlock"), "{message}");
+        }
+        other => panic!("expected thread 0's deadlock diagnostic, got {other:?}"),
+    }
 }
 
 #[test]
@@ -664,7 +708,8 @@ const REPLAY_PINS: &[(&str, u64)] = &[
     ("power8/replay", 0x3ad7aefcc2b735e3),
 ];
 
-/// The recordings run on `runner`; replays always run on OS threads.
+/// The recordings run on `runner`; every replay runs under the round-robin
+/// scheduler the runtime installs.
 #[test]
 fn record_and_replay_of_every_tier_are_pinned() {
     for runner in RUNNERS {
