@@ -142,12 +142,6 @@ impl Geometry {
         let bytes = words as u64 * WORD_BYTES;
         bytes.div_ceil(self.line_bytes as u64) as usize
     }
-
-    /// The line that follows `line` (used by the prefetcher model).
-    #[inline]
-    pub fn next_line(&self, line: LineId) -> LineId {
-        LineId(line.0.wrapping_add(1))
-    }
 }
 
 #[cfg(test)]

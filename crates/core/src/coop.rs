@@ -1,8 +1,8 @@
 //! Cooperative-scheduling hooks.
 //!
-//! Two kinds of run drive the *real* engine through chosen interleavings:
-//! the schedule explorer in `htm-model` and the deterministic svc service
-//! cells. Both run on `htm_runtime::sched`, and rather than fork the
+//! Some runs drive the *real* engine through chosen interleavings: the
+//! schedule explorer in `htm-model`, the deterministic svc service cells
+//! and replays. All run on `htm_runtime::sched`, and rather than fork the
 //! engine, the substrate exposes a thin per-thread hook layer for it: when
 //! a scheduler's hooks are installed on a thread, the engine calls
 //! [`point`] at its scheduling points (block start, pre-commit, each
@@ -72,8 +72,17 @@ thread_local! {
 /// Installs `hooks` on the current thread, returning a guard that removes
 /// them on drop (including on unwind, so an aborted schedule cannot leak
 /// hooks into a reused thread).
+///
+/// # Panics
+///
+/// Panics if hooks are already installed: a worker runs under one
+/// scheduler, and replacing its hooks would hand its pauses to another.
 pub fn install(hooks: Rc<dyn CoopHooks>) -> CoopGuard {
-    HOOKS.with(|h| *h.borrow_mut() = Some(hooks));
+    HOOKS.with(|h| {
+        let mut h = h.borrow_mut();
+        assert!(h.is_none(), "a worker cannot enter a second scheduler");
+        *h = Some(hooks);
+    });
     ACTIVE.with(|a| a.set(true));
     CoopGuard { _priv: () }
 }

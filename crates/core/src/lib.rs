@@ -90,18 +90,6 @@ pub fn word_to_f64(w: u64) -> f64 {
     f64::from_bits(w)
 }
 
-/// Reinterprets an `i64` as a simulated memory word (two's complement).
-#[inline]
-pub fn i64_to_word(v: i64) -> u64 {
-    v as u64
-}
-
-/// Inverse of [`i64_to_word`].
-#[inline]
-pub fn word_to_i64(w: u64) -> i64 {
-    w as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,12 +100,5 @@ mod tests {
             assert_eq!(word_to_f64(f64_to_word(v)).to_bits(), v.to_bits());
         }
         assert!(word_to_f64(f64_to_word(f64::NAN)).is_nan());
-    }
-
-    #[test]
-    fn i64_round_trip() {
-        for v in [0i64, 1, -1, i64::MIN, i64::MAX] {
-            assert_eq!(word_to_i64(i64_to_word(v)), v);
-        }
     }
 }

@@ -394,8 +394,6 @@ pub fn serial_digests(cfg: &ModelConfig) -> BTreeSet<u64> {
 fn execute(cfg: &ModelConfig, forced: &[u32]) -> RunRecord {
     let (sim, addrs) = build_sim(cfg, true);
     cfg.bug.arm(sim.mem());
-    // The controller runs one worker at a time, so they can be fibers.
-    sim.declare_cooperative();
     let n = cfg.kernel.nthreads();
     let (_, policy) = cfg.tier.policy();
     let bound = match cfg.mode {
@@ -404,12 +402,8 @@ fn execute(cfg: &ModelConfig, forced: &[u32]) -> RunRecord {
     };
     let ctrl = Controller::with_policy(n, Explorer::new(n, forced.to_vec(), cfg.max_steps, bound));
     let kernel = &cfg.kernel;
-    let result = sim.try_run_parallel(n, policy, |ctx| {
-        let tid = ctx.thread_id();
-        let _hooks = htm_core::coop::install(ctrl.hooks(tid));
-        let _done = ctrl.finish_guard(tid);
-        ctrl.register(tid);
-        kernel.run_thread(ctx, tid, &addrs);
+    let result = sim.try_run_scheduled(&ctrl, policy, |ctx| {
+        kernel.run_thread(ctx, ctx.thread_id(), &addrs);
     });
     let (log, abort) = ctrl.policy(Explorer::take_result);
     match result {

@@ -252,12 +252,9 @@ mod tests {
     /// message each worker's body unwound with, if any.
     type Runner = fn(&Arc<Controller>, Vec<Body>) -> Vec<Option<String>>;
 
-    /// A worker: hooks, finish guard and registration, then `body`.
+    /// A worker: enters the controller, then runs `body`.
     fn worker(ctrl: &Arc<Controller>, tid: u32, body: Body) -> Option<String> {
-        let hooks = ctrl.hooks(tid);
-        let _g = htm_core::coop::install(hooks);
-        let _f = ctrl.finish_guard(tid);
-        ctrl.register(tid);
+        let _entered = ctrl.enter(tid);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
         // Swallow the abort panic: the tests assert on the structured
         // verdict instead.

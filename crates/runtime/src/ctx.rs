@@ -359,14 +359,6 @@ impl ThreadCtx {
         self.fallback
     }
 
-    /// Replaces the fallback policy (installing a fresh adaptive
-    /// controller when switching to [`FallbackPolicy::Adaptive`]).
-    pub fn set_fallback(&mut self, fallback: FallbackPolicy) {
-        self.fallback = fallback;
-        self.adapt = make_adapt(&self.eng, fallback);
-        self.adapt_switches_seen = 0;
-    }
-
     /// The fallback tier actually taken: [`FallbackPolicy::Rot`] needs
     /// POWER8-style rollback-only transactions and degrades to the global
     /// lock elsewhere.
@@ -382,11 +374,6 @@ impl ThreadCtx {
     /// The livelock-watchdog configuration in force.
     pub fn watchdog(&self) -> WatchdogConfig {
         self.watchdog
-    }
-
-    /// Replaces the watchdog configuration (robustness experiments).
-    pub fn set_watchdog(&mut self, watchdog: WatchdogConfig) {
-        self.watchdog = watchdog;
     }
 
     /// Charges `cycles` of simulated compute to this thread (scaled by SMT

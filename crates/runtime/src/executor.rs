@@ -21,7 +21,7 @@ use crate::ctx::{Arbiter, RetryPolicy, ThreadCtx, WatchdogConfig};
 use crate::faults::{FaultPlan, FaultState};
 use crate::lock::GlobalLock;
 use crate::replay::{BlockRecord, ScheduleTrace};
-use crate::sched::RoundRobin;
+use crate::sched::{Policy, RoundRobin, Scheduler};
 use crate::stats::{RunStats, ThreadStats};
 use crate::trace::SeqTracer;
 use crate::tx::{ExecMode, TxnEngine};
@@ -269,16 +269,18 @@ impl Sim {
         Sim::new(SimConfig::new(machine))
     }
 
-    /// Declares this simulation's parallel runs cooperative: every worker
-    /// runs under one [`sched::Scheduler`](crate::sched::Scheduler), so one
-    /// worker runs at a time and none waits for another except through a
-    /// scheduler grant. Its runs then execute their workers as fibers on
-    /// the calling thread ([`fiber`](crate::fiber)), where a grant is a
-    /// register switch instead of an OS-thread wake; simulated results do
-    /// not change. On targets other than x86_64 Linux the workers stay OS
-    /// threads and wait for their grants on condvars. A cooperative `Sim`
-    /// cannot [`replay`](Sim::replay): a replay installs a scheduler of its
-    /// own.
+    /// Declares this simulation's parallel runs cooperative: the runtime
+    /// builds a [`RoundRobin`] scheduler for each run of
+    /// [`try_run_parallel`](Sim::try_run_parallel) or
+    /// [`record_parallel`](Sim::record_parallel) and enters every worker
+    /// into it, so one worker runs at a time and none waits for another
+    /// except through a scheduler grant. The workers run as fibers on the
+    /// calling thread ([`fiber`](crate::fiber)), where a grant is a register
+    /// switch instead of an OS-thread wake; simulated results are a pure
+    /// function of the code. On targets other than x86_64 Linux the workers
+    /// stay OS threads and wait for their grants on condvars. The workload
+    /// must not enter a scheduler itself:
+    /// [`htm_core::coop::install`] refuses a worker's second scheduler.
     ///
     /// Every wait inside the engine (global lock, line claim, committing
     /// slot, hybrid epoch, speculation ID, replay turn, zEC12 constrained
@@ -454,7 +456,33 @@ impl Sim {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        self.run_parallel_core(num_threads, policy, work, RunMode::Normal).map(|(stats, _)| stats)
+        let sched = self.round_robin(num_threads)?;
+        self.run_parallel_core(num_threads, policy, work, RunMode::Normal, sched.as_ref())
+            .map(|(stats, _)| stats)
+    }
+
+    /// Like [`Sim::try_run_parallel`], but every worker runs under `sched`,
+    /// whose [`Policy`] the caller chooses (the model checker's explorer),
+    /// as a fiber on the calling thread on x86_64 Linux. The run has
+    /// [`sched.threads()`](Scheduler::threads) workers.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Sim::try_run_parallel`]; a verdict of the
+    /// policy ends the run as [`SimError::WorkerPanicked`] with the
+    /// policy's diagnostic.
+    pub fn try_run_scheduled<F, P>(
+        &self,
+        sched: &Arc<Scheduler<P>>,
+        policy: RetryPolicy,
+        work: F,
+    ) -> SimResult<RunStats>
+    where
+        F: Fn(&mut ThreadCtx) + Sync,
+        P: Policy,
+    {
+        self.run_parallel_core(sched.threads(), policy, work, RunMode::Normal, Some(sched))
+            .map(|(stats, _)| stats)
     }
 
     /// Runs `work` like [`Sim::try_run_parallel`] while recording every
@@ -474,7 +502,8 @@ impl Sim {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        self.run_parallel_core(num_threads, policy, work, RunMode::Record)
+        let sched = self.round_robin(num_threads)?;
+        self.run_parallel_core(num_threads, policy, work, RunMode::Record, sched.as_ref())
             .map(|(stats, trace)| (stats, trace.expect("record mode produces a trace")))
     }
 
@@ -487,24 +516,24 @@ impl Sim {
     /// recorded run. Fault injection, the watchdog and zEC12 restriction
     /// draws are disabled — those decisions are already in the trace.
     ///
-    /// The workers run under a round-robin
-    /// [`sched::Scheduler`](crate::sched::Scheduler) the runtime installs,
-    /// as fibers on the calling thread on x86_64 Linux: a worker whose block
-    /// has not come up in the commit order pauses Blocked and is probed
-    /// again in its turn. So, as on a [cooperative](Sim::declare_cooperative)
-    /// run, the workers may wait for each other only through the engine or
-    /// an [`htm_core::coop::Wait`]: a replayed worker that spins on a host
-    /// atomic, or holds a `std::sync::Mutex` across an atomic block, hangs
-    /// the replay. The workload must not install a scheduler of its own.
+    /// The workers run under a [`RoundRobin`] scheduler the runtime builds
+    /// and enters them into, as on a [cooperative](Sim::declare_cooperative)
+    /// run, whether or not this `Sim` is declared cooperative: as fibers on
+    /// the calling thread on x86_64 Linux. A worker whose block has not come
+    /// up in the commit order pauses Blocked and is probed again in its
+    /// turn. So the workers may wait for each other only through the engine
+    /// or an [`htm_core::coop::Wait`]: a replayed worker that spins on a
+    /// host atomic, or holds a `std::sync::Mutex` across an atomic block,
+    /// hangs the replay.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Sim::try_run_parallel`], plus
-    /// [`SimError::InvalidConfig`] on a cooperative `Sim` and when the
-    /// workload does not consume exactly the recorded blocks (replay
-    /// divergence), and [`SimError::WorkerPanicked`] with the scheduler's
-    /// deadlock diagnostic when a recorded block's turn can never come (the
-    /// workload stopped before a block that others wait for).
+    /// [`SimError::InvalidConfig`] when the workload does not consume
+    /// exactly the recorded blocks (replay divergence), and
+    /// [`SimError::WorkerPanicked`] with the scheduler's deadlock diagnostic
+    /// when a recorded block's turn can never come (the workload stopped
+    /// before a block that others wait for).
     pub fn replay<F>(
         &self,
         trace: &ScheduleTrace,
@@ -514,33 +543,22 @@ impl Sim {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        if self.cooperative.load(Ordering::Relaxed) {
-            return Err(SimError::InvalidConfig(
-                "a replay installs its own scheduler, so it cannot run on a cooperative Sim".into(),
-            ));
-        }
         let sched = RoundRobin::new(trace.threads());
-        let scheduled = |ctx: &mut ThreadCtx| {
-            let tid = ctx.thread_id();
-            let _hooks = htm_core::coop::install(sched.hooks(tid));
-            let _done = sched.finish_guard(tid);
-            sched.register(tid);
-            work(ctx);
-        };
-        self.run_parallel_core(trace.threads(), policy, scheduled, RunMode::Replay(trace))
+        self.run_parallel_core(trace.threads(), policy, work, RunMode::Replay(trace), Some(&sched))
             .map(|(stats, _)| stats)
     }
 
-    fn run_parallel_core<F>(
-        &self,
-        num_threads: u32,
-        policy: RetryPolicy,
-        work: F,
-        mode: RunMode<'_>,
-    ) -> SimResult<(RunStats, Option<ScheduleTrace>)>
-    where
-        F: Fn(&mut ThreadCtx) + Sync,
-    {
+    /// The scheduler of a run of `num_threads` workers: a [`RoundRobin`]
+    /// on a cooperative `Sim`, none on a free-running one. The count is
+    /// checked first, so an invalid one sizes no scheduler.
+    fn round_robin(&self, num_threads: u32) -> SimResult<Option<Arc<RoundRobin>>> {
+        self.check_workers(num_threads)?;
+        Ok(self.cooperative.load(Ordering::Relaxed).then(|| RoundRobin::new(num_threads)))
+    }
+
+    /// Checks that the platform and the slot table have room for
+    /// `num_threads` (at least one) workers.
+    fn check_workers(&self, num_threads: u32) -> SimResult<()> {
         if num_threads < 1 {
             return Err(SimError::InvalidConfig("need at least one worker".into()));
         }
@@ -558,6 +576,24 @@ impl Sim {
                 limit: "the simulator slot table".into(),
             });
         }
+        Ok(())
+    }
+
+    /// Runs `work` on `num_threads` workers in `mode`. With `sched`, the
+    /// executor enters every worker into it and runs them as fibers.
+    fn run_parallel_core<F, P>(
+        &self,
+        num_threads: u32,
+        policy: RetryPolicy,
+        work: F,
+        mode: RunMode<'_>,
+        sched: Option<&Arc<Scheduler<P>>>,
+    ) -> SimResult<(RunStats, Option<ScheduleTrace>)>
+    where
+        F: Fn(&mut ThreadCtx) + Sync,
+        P: Policy,
+    {
+        self.check_workers(num_threads)?;
         let record = matches!(mode, RunMode::Record);
         let replay = matches!(mode, RunMode::Replay(_));
         // One commit clock per run: certification and recording both stamp
@@ -600,14 +636,15 @@ impl Sim {
                 ctx
             })
             .collect();
+        let work = |ctx: &mut ThreadCtx| {
+            let _entered = sched.map(|s| s.enter(ctx.thread_id()));
+            work(ctx);
+        };
         let ends = match () {
-            // The workers of a cooperative run, and of every replay, take
-            // turns under one scheduler, so they run as fibers on this
-            // thread.
+            // A scheduled run's workers take turns, so they run as fibers
+            // on this thread.
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            () if replay || self.cooperative.load(Ordering::Relaxed) => {
-                self.run_on_fibers(ctxs, &work)
-            }
+            () if sched.is_some() => self.run_on_fibers(ctxs, &work),
             () => self.run_on_threads(ctxs, &work),
         };
         let mut outs: Vec<WorkerOut> = Vec::with_capacity(num_threads as usize);
@@ -890,6 +927,12 @@ mod tests {
             s.try_run_parallel(0, RetryPolicy::default(), |_| {}),
             Err(SimError::InvalidConfig(_))
         ));
+        // A cooperative Sim checks the count before it sizes a scheduler.
+        s.declare_cooperative();
+        assert!(matches!(
+            s.try_run_parallel(16, RetryPolicy::default(), |_| {}),
+            Err(SimError::TooManyThreads { requested: 16, available: 8, .. })
+        ));
     }
 
     #[test]
@@ -944,22 +987,15 @@ mod tests {
         assert!(!s.lock().is_locked(s.mem()), "panic recovery must free the global lock");
     }
 
-    /// Runs `body` on `n` workers of a cooperative `Sim` under a round-robin
-    /// scheduler (fibers on x86_64 Linux).
+    /// Runs `body` on `n` workers of a cooperative `Sim`, which runs them
+    /// under a round-robin scheduler (fibers on x86_64 Linux).
     fn cooperative_run(
         s: &Sim,
         n: u32,
         body: impl Fn(&mut ThreadCtx) + Sync,
     ) -> SimResult<RunStats> {
-        let sched = crate::sched::RoundRobin::new(n);
         s.declare_cooperative();
-        s.try_run_parallel(n, RetryPolicy::default(), |ctx| {
-            let tid = ctx.thread_id();
-            let _hooks = htm_core::coop::install(sched.hooks(tid));
-            let _done = sched.finish_guard(tid);
-            sched.register(tid);
-            body(ctx);
-        })
+        s.try_run_parallel(n, RetryPolicy::default(), body)
     }
 
     #[test]
@@ -980,8 +1016,9 @@ mod tests {
     #[test]
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn replay_workers_run_as_fibers_on_the_calling_thread() {
-        // A replay runs under the scheduler the runtime installs, so its
-        // workers are fibers although the Sim is not declared cooperative.
+        // A replay runs under the scheduler the runtime enters its workers
+        // into, so they are fibers although the Sim is not declared
+        // cooperative.
         let caller = std::thread::current().id();
         let on_caller = &std::sync::atomic::AtomicU32::new(0);
         let work = |a: WordAddr| {
@@ -1006,19 +1043,6 @@ mod tests {
         s2.replay(&trace, RetryPolicy::default(), work(a2)).expect("replay");
         assert_eq!(on_caller.load(Ordering::Relaxed), 4);
         assert_eq!(s2.read_word(a2), 80);
-    }
-
-    #[test]
-    fn replay_refuses_a_cooperative_sim() {
-        // A cooperative Sim's workload installs its own scheduler, which
-        // would take the grants from the one the replay installs.
-        let idle = |_: &mut ThreadCtx| {};
-        let (_, trace) =
-            sim(Platform::IntelCore).record_parallel(2, RetryPolicy::default(), idle).unwrap();
-        let s = sim(Platform::IntelCore);
-        s.declare_cooperative();
-        let err = s.replay(&trace, RetryPolicy::default(), idle).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Stackful fibers: a cooperative run's workers on the calling thread.
+//! Stackful fibers: a scheduled run's workers on the calling thread.
 //!
-//! A cooperative run (see [`Sim::declare_cooperative`](crate::Sim::declare_cooperative)),
-//! and every [`Sim::replay`](crate::Sim::replay), executes one worker at a
-//! time, so its workers need not be OS threads.
+//! The executor enters every worker of a scheduled run (a
+//! [cooperative](crate::Sim::declare_cooperative) `Sim`'s, a
+//! [`Sim::replay`](crate::Sim::replay), or
+//! [`Sim::try_run_scheduled`](crate::Sim::try_run_scheduled)) into its
+//! scheduler, which runs one worker at a time, so the workers need not be
+//! OS threads.
 //! [`run`] executes each body as a fiber on its own guard-paged stack, on
 //! the calling thread, and a scheduler grant becomes a register switch
 //! instead of a futex wake.

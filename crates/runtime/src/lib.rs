@@ -19,8 +19,10 @@
 //!   rare branches of the retry machine (spurious aborts, capacity storms,
 //!   speculation-ID starvation, delayed lock release) on demand,
 //! * [`executor`] — [`Sim`], building a platform instance and running
-//!   workloads sequentially (the speed-up baseline) or on worker threads
-//!   (a cooperative `Sim`'s workers, and a replay's, run as fibers),
+//!   workloads sequentially (the speed-up baseline) or on worker threads;
+//!   a scheduled run (a cooperative `Sim`'s, a replay, or
+//!   `Sim::try_run_scheduled`) enters every worker into its scheduler and
+//!   runs the workers as fibers,
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
@@ -34,9 +36,11 @@
 //!   scheduler, in recorded commit order,
 //! * [`sched`] — the cooperative scheduler: one worker runs at a time
 //!   through the `htm_core::coop` hooks, and a [`Policy`](sched::Policy)
-//!   picks each grant ([`RoundRobin`](sched::RoundRobin) for the svc
-//!   workload and for replays, the model checker's explorer in
-//!   `htm-model`),
+//!   picks each grant ([`RoundRobin`](sched::RoundRobin) for cooperative
+//!   `Sim`s such as the svc workload's and for replays, the model
+//!   checker's explorer in `htm-model`); workers enter it through
+//!   [`Scheduler::enter`](sched::Scheduler::enter), which the executor
+//!   calls,
 //! * `fiber` (x86_64 Linux) — stackful fibers: a cooperative run's workers
 //!   on the calling thread, so a scheduler grant is a register switch; the
 //!   crate's only unsafe code,

@@ -2,20 +2,22 @@
 //! decides which.
 //!
 //! Runs that must interleave the same way every time drive the real
-//! engine through the `htm_core::coop` hooks: the svc service cells
-//! ([`RoundRobin`], bit-identical per seed), replays of recorded runs
-//! (`Sim::replay`, also under [`RoundRobin`]) and the `htm-model` schedule
-//! explorer. Every worker installs a [`Hooks`] handle, takes a
-//! [`FinishGuard`] and [`register`](Scheduler::register)s; from then on it
-//! runs only while it holds the grant. A *step* is everything a thread
-//! executes between two of its own pauses. At each scheduling point the
-//! running thread ends its step, marks itself Ready (or Blocked, at
-//! [`CoopPoint::Blocked`]), grants the thread the policy picks, and waits
-//! until it is granted again. A worker running as a fiber (a cooperative
-//! `Sim`'s workers, see [`crate::fiber`]) waits by suspending to its
+//! engine through the `htm_core::coop` hooks: the runs of a cooperative
+//! `Sim` (the svc service cells, under [`RoundRobin`], bit-identical per
+//! seed), replays of recorded runs (`Sim::replay`, also under
+//! [`RoundRobin`]) and the `htm-model` schedule explorer
+//! (`Sim::try_run_scheduled`). The executor enters every worker of such a
+//! run with [`Scheduler::enter`], which installs the worker's [`Hooks`],
+//! takes its [`FinishGuard`] and [`register`](Scheduler::register)s it;
+//! from then on the worker runs only while it holds the grant. A *step* is
+//! everything a thread executes between two of its own pauses. At each
+//! scheduling point the running thread ends its step, marks itself Ready
+//! (or Blocked, at [`CoopPoint::Blocked`]), grants the thread the policy
+//! picks, and waits until it is granted again. A worker running as a fiber
+//! (every scheduled run's, see [`crate::fiber`]) waits by suspending to its
 //! driver, naming the granted thread, which the driver resumes: a register
-//! switch. A worker on its own OS thread (other targets, or callers that
-//! register from threads they spawned) parks on its own condvar. A
+//! switch. A worker on its own OS thread (on targets without fibers, or
+//! where a caller enters workers on threads it spawned) parks on a condvar. A
 //! finishing fiber only records the next grant, since it may be unwinding;
 //! the driver resumes that thread once the fiber's body has returned.
 //!
@@ -46,7 +48,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use htm_core::coop::{CoopHooks, CoopPoint};
+use htm_core::coop::{CoopGuard, CoopHooks, CoopPoint};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::fiber;
@@ -139,6 +141,29 @@ impl<P: Policy> Scheduler<P> {
             }),
             wake: (0..nthreads).map(|_| Condvar::new()).collect(),
         })
+    }
+
+    /// The number of workers the scheduler runs.
+    pub fn threads(&self) -> u32 {
+        self.wake.len() as u32
+    }
+
+    /// Enters worker `tid`: installs its [`hooks`](Scheduler::hooks), takes
+    /// its [`finish_guard`](Scheduler::finish_guard) and
+    /// [`register`](Scheduler::register)s it, in that order, so it returns
+    /// at the worker's first grant. The worker runs under the scheduler
+    /// until the pair drops: the finish guard first, while the hooks are
+    /// still installed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread already runs under a scheduler, or with the
+    /// policy's verdict if the run was aborted before the first grant.
+    pub fn enter(self: &Arc<Self>, tid: u32) -> (FinishGuard<P>, CoopGuard) {
+        let hooks = htm_core::coop::install(self.hooks(tid));
+        let done = self.finish_guard(tid);
+        self.register(tid);
+        (done, hooks)
     }
 
     /// Per-thread hook handle for [`htm_core::coop::install`].
@@ -311,7 +336,8 @@ impl<P: Policy> Drop for FinishGuard<P> {
 #[derive(Clone, Copy, Debug)]
 pub struct Rotation;
 
-/// The round-robin scheduler: svc cells and replays run under it.
+/// The round-robin scheduler: the runs of a cooperative `Sim` (the svc
+/// cells) and every replay run under it.
 pub type RoundRobin = Scheduler<Rotation>;
 
 impl RoundRobin {
@@ -363,11 +389,9 @@ mod tests {
     /// Runs one worker per body under a scheduler; returns how each ended.
     type Runner = fn(&Arc<RoundRobin>, Vec<Body>) -> Ends;
 
-    /// A worker: hooks, finish guard and registration, then `body`.
+    /// A worker: enters the scheduler, then runs `body`.
     fn worker(sched: &Arc<RoundRobin>, tid: u32, body: Body) {
-        let _g = htm_core::coop::install(sched.hooks(tid));
-        let _f = sched.finish_guard(tid);
-        sched.register(tid);
+        let _entered = sched.enter(tid);
         body();
     }
 

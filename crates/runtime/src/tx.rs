@@ -1749,26 +1749,6 @@ impl Tx<'_> {
         self.store(addr, htm_core::f64_to_word(value))
     }
 
-    /// Loads an `i64` (two's complement word).
-    ///
-    /// # Errors
-    ///
-    /// See [`Tx::load`].
-    #[inline]
-    pub fn load_i64(&mut self, addr: WordAddr) -> TxResult<i64> {
-        Ok(htm_core::word_to_i64(self.load(addr)?))
-    }
-
-    /// Stores an `i64`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tx::load`].
-    #[inline]
-    pub fn store_i64(&mut self, addr: WordAddr, value: i64) -> TxResult<()> {
-        self.store(addr, htm_core::i64_to_word(value))
-    }
-
     /// Explicitly aborts the transaction (`tabort`) with a user code.
     ///
     /// # Errors
@@ -1807,12 +1787,6 @@ impl Tx<'_> {
     /// Returns [`Abort`] if the transaction was doomed while suspended.
     pub fn resume(&mut self) -> TxResult<()> {
         self.eng.resume()
-    }
-
-    /// Whether this block is executing as a real hardware transaction
-    /// (false on the irrevocable fallback path and in sequential mode).
-    pub fn is_hardware(&self) -> bool {
-        self.eng.is_hardware_tx()
     }
 
     /// Charges `cycles` of simulated compute to this thread.

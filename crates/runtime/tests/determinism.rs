@@ -199,21 +199,13 @@ fn replay_rejects_a_mismatched_workload() {
 
 #[test]
 fn a_stalled_replay_fails_at_once_with_the_deadlock_diagnostic() {
-    // Recorded under the round-robin scheduler, the two threads' blocks
-    // alternate in the commit order (free-running, thread 0 could finish
-    // before thread 1's 11th block).
+    // Recorded on a cooperative Sim, under the round-robin scheduler, the
+    // two threads' blocks alternate in the commit order (free-running,
+    // thread 0 could finish before thread 1's 11th block).
     let (sim, base) = contended_sim(FaultPlan::none(), WatchdogConfig::default());
     sim.declare_cooperative();
-    let sched = RoundRobin::new(2);
-    let (_, trace) = sim
-        .record_parallel(2, RetryPolicy::default(), |ctx: &mut ThreadCtx| {
-            let tid = ctx.thread_id();
-            let _hooks = htm_core::coop::install(sched.hooks(tid));
-            let _done = sched.finish_guard(tid);
-            sched.register(tid);
-            contended_work(base)(ctx);
-        })
-        .expect("record");
+    let (_, trace) =
+        sim.record_parallel(2, RetryPolicy::default(), contended_work(base)).expect("record");
 
     // Thread 1 stops after 10 of its 150 blocks, so thread 0 reaches a
     // block whose turn comes after thread 1's 11th and can never come. The
@@ -232,6 +224,26 @@ fn a_stalled_replay_fails_at_once_with_the_deadlock_diagnostic() {
             assert!(message.contains("round-robin scheduler deadlock"), "{message}");
         }
         other => panic!("expected thread 0's deadlock diagnostic, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_worker_cannot_enter_a_second_scheduler() {
+    // A cooperative Sim's workers already run under the scheduler the
+    // runtime entered them into; entering another one fails the worker
+    // instead of silently taking its pauses from the first.
+    let (sim, _) = contended_sim(FaultPlan::none(), WatchdogConfig::default());
+    sim.declare_cooperative();
+    let err = sim
+        .try_run_parallel(2, RetryPolicy::default(), |ctx: &mut ThreadCtx| {
+            let _second = RoundRobin::new(2).enter(ctx.thread_id());
+        })
+        .unwrap_err();
+    match err {
+        SimError::WorkerPanicked { ref message, .. } => {
+            assert!(message.contains("a worker cannot enter a second scheduler"), "{message}");
+        }
+        other => panic!("expected the second entry to fail its worker, got {other:?}"),
     }
 }
 
@@ -485,8 +497,9 @@ fn pin_sim(
 /// Each block updates a counter at a random index; every 7th block (not
 /// under constrained transactions, whose footprint is bounded) also loads
 /// 80 separate lines and stores their sum, which overflows POWER8's
-/// 64-entry TMCAM. With `sched`, workers run under the round-robin
-/// scheduler.
+/// 64-entry TMCAM. With `sched`, the workers enter that round-robin
+/// scheduler themselves: the OS-thread runner's test of condvar grants (a
+/// cooperative `Sim` enters its workers into a scheduler of its own).
 fn pin_work(
     counters: WordAddr,
     wide: WordAddr,
@@ -495,12 +508,7 @@ fn pin_work(
 ) -> impl Fn(&mut ThreadCtx) + Sync {
     move |ctx: &mut ThreadCtx| {
         let tid = ctx.thread_id();
-        let _hooks = sched.as_ref().map(|s| htm_core::coop::install(s.hooks(tid)));
-        let _done = sched.as_ref().map(|s| {
-            let done = s.finish_guard(tid);
-            s.register(tid);
-            done
-        });
+        let _entered = sched.as_ref().map(|s| s.enter(tid));
         if api == PinApi::Hle {
             ctx.set_hle(true);
         }
@@ -526,6 +534,13 @@ fn pin_work(
     }
 }
 
+/// The scheduler a pinned run's workers enter themselves: on OS threads,
+/// a round-robin one when there is more than one worker, so the run is
+/// exact. A cooperative `Sim` runs its workers under its own.
+fn sched(runner: Runner, threads: u32) -> Option<Arc<RoundRobin>> {
+    (matches!(runner, Runner::Threads) && threads > 1).then(|| RoundRobin::new(threads))
+}
+
 /// Runs one scenario and folds it into `h`.
 #[allow(clippy::too_many_arguments)]
 fn pin_run(
@@ -540,8 +555,8 @@ fn pin_run(
     runner: Runner,
 ) -> u64 {
     let (sim, counters, wide) = pin_sim(machine, fallback, plan, watchdog, runner);
-    let sched = (threads > 1).then(|| RoundRobin::new(threads));
-    let stats = sim.run_parallel(threads, policy, pin_work(counters, wide, api, sched));
+    let stats =
+        sim.run_parallel(threads, policy, pin_work(counters, wide, api, sched(runner, threads)));
     assert_eq!(stats.committed_blocks(), (threads * PIN_BLOCKS) as u64);
     fold_run(h, &stats, sim.memory_digest())
 }
@@ -708,8 +723,9 @@ const REPLAY_PINS: &[(&str, u64)] = &[
     ("power8/replay", 0x3ad7aefcc2b735e3),
 ];
 
-/// The recordings run on `runner`; every replay runs under the round-robin
-/// scheduler the runtime installs.
+/// The recordings and the replays run on `runner`; every replay runs under
+/// the round-robin scheduler the runtime enters its workers into, on a
+/// cooperative `Sim` too.
 #[test]
 fn record_and_replay_of_every_tier_are_pinned() {
     for runner in RUNNERS {
@@ -722,15 +738,14 @@ fn record_and_replay_of_every_tier_are_pinned() {
                     let watchdog = WatchdogConfig::default();
                     let (sim, counters, wide) =
                         pin_sim(&machine, fallback, storm, watchdog, runner);
-                    let sched = (threads > 1).then(|| RoundRobin::new(threads));
-                    let work = pin_work(counters, wide, PinApi::Atomic, sched);
+                    let work = pin_work(counters, wide, PinApi::Atomic, sched(runner, threads));
                     let (recorded, trace) =
                         sim.record_parallel(threads, RetryPolicy::default(), work).expect("record");
                     let digest = sim.memory_digest();
                     let trace = ScheduleTrace::from_text(&trace.to_text()).expect("trace text");
 
                     let (sim2, counters2, wide2) =
-                        pin_sim(&machine, fallback, storm, watchdog, Runner::Threads);
+                        pin_sim(&machine, fallback, storm, watchdog, runner);
                     let work = pin_work(counters2, wide2, PinApi::Atomic, None);
                     let replayed =
                         sim2.replay(&trace, RetryPolicy::default(), work).expect("replay");

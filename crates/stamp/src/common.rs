@@ -491,11 +491,10 @@ mod tests {
         assert_eq!(late.load(Ordering::Relaxed), 0, "phases resumed past their own maximum");
     }
 
-    /// `inner` on a cooperative `Sim`, its workers under a round-robin
-    /// scheduler, so the run is exact.
+    /// `inner` on a cooperative `Sim`, whose workers the runtime runs under
+    /// a round-robin scheduler, so the run is exact.
     struct RoundRobinRun<W> {
         inner: W,
-        sched: std::sync::OnceLock<std::sync::Arc<htm_runtime::sched::RoundRobin>>,
     }
 
     impl<W: Workload> Workload for RoundRobinRun<W> {
@@ -511,14 +510,8 @@ mod tests {
         }
         fn prepare(&self, threads: u32) {
             self.inner.prepare(threads);
-            let _ = self.sched.set(htm_runtime::sched::RoundRobin::new(threads));
         }
         fn work(&self, ctx: &mut ThreadCtx) {
-            let sched = self.sched.get().expect("prepared");
-            let tid = ctx.thread_id();
-            let _hooks = coop::install(sched.hooks(tid));
-            let _done = sched.finish_guard(tid);
-            sched.register(tid);
             self.inner.work(ctx);
         }
         fn verify(&self, sim: &Sim) {
@@ -532,7 +525,7 @@ mod tests {
         let machine = Platform::IntelCore.config();
         let run = || {
             let cfg = KmeansConfig::high(Scale::Tiny, KmeansVariant::Modified, machine.granularity);
-            let w = RoundRobinRun { inner: Kmeans::new(cfg, 7), sched: Default::default() };
+            let w = RoundRobinRun { inner: Kmeans::new(cfg, 7) };
             let params = BenchParams { threads: 2, scale: Scale::Tiny, ..Default::default() };
             let (stats, _) = run_instance(&w, &machine, &params);
             let cycles: Vec<u64> = stats.threads.iter().map(|t| t.cycles).collect();

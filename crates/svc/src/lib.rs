@@ -13,14 +13,16 @@
 //!   key's node on its own conflict-detection line (so abort blame names
 //!   *keys*), plus bounded per-shard request rings handed off with
 //!   non-transactional fetch-adds,
-//! * [`sched`] — the deterministic round-robin cooperative scheduler
-//!   (`htm_runtime::sched::RoundRobin`): bit-identical interleavings (and
-//!   therefore bit-identical TSVs) with genuine cross-thread conflicts,
+//! * [`sched`] — a re-export of `htm_runtime::sched::RoundRobin`, kept
+//!   for the `htm-bench` hand-off probe; svc cells do not use it directly,
 //! * [`workload`] — [`SvcWorkload`], a `stamp::Workload`: shard workers
 //!   drain queues through atomic blocks under any fallback tier while a
 //!   background compaction thread contends with them; per-request
 //!   simulated-cycle latencies land in the run's
-//!   [`LatencyHistogram`](htm_runtime::LatencyHistogram).
+//!   [`LatencyHistogram`](htm_runtime::LatencyHistogram). Its `setup`
+//!   declares the `Sim` cooperative, so the runtime runs the workers under
+//!   its round-robin scheduler: bit-identical interleavings (and therefore
+//!   bit-identical TSVs) with genuine cross-thread conflicts.
 //!
 //! The [`blame_hot_keys`] runner re-executes a cell under the race
 //! sanitizer and resolves its conflict lines back to keys — the

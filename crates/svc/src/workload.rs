@@ -15,13 +15,11 @@
 //! time minus its *arrival* time, so queue wait under overload lands in
 //! the percentiles.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use htm_runtime::{Sim, ThreadCtx};
 use stamp::Workload;
 
-use crate::sched::RoundRobin;
 use crate::store::Store;
 use crate::traffic::{self, Op, Request, SvcParams, Traffic};
 
@@ -42,8 +40,6 @@ pub struct SvcWorkload {
     params: SvcParams,
     traffic: Traffic,
     store: OnceLock<Store>,
-    threads: AtomicU32,
-    sched: Mutex<Option<Arc<RoundRobin>>>,
 }
 
 impl SvcWorkload {
@@ -52,13 +48,7 @@ impl SvcWorkload {
     /// process bit-identical request streams.
     pub fn new(params: SvcParams, seed: u64) -> SvcWorkload {
         let traffic = traffic::generate(&params, seed);
-        SvcWorkload {
-            params,
-            traffic,
-            store: OnceLock::new(),
-            threads: AtomicU32::new(1),
-            sched: Mutex::new(None),
-        }
+        SvcWorkload { params, traffic, store: OnceLock::new() }
     }
 
     /// The workload's parameters.
@@ -229,19 +219,14 @@ impl Workload for SvcWorkload {
     fn setup(&self, sim: &Sim) {
         let store = Store::build(sim, &self.params);
         assert!(self.store.set(store).is_ok(), "setup ran twice");
-        // Parallel workers run one at a time under the round-robin
-        // scheduler, so they can run as fibers.
+        // On a cooperative Sim the runtime runs the parallel workers under
+        // its round-robin scheduler, so every interleaving is a pure
+        // function of the seed.
         sim.declare_cooperative();
     }
 
-    fn prepare(&self, threads: u32) {
-        self.threads.store(threads, Ordering::SeqCst);
-        *self.sched.lock().unwrap_or_else(|p| p.into_inner()) =
-            (threads > 1).then(|| RoundRobin::new(threads));
-    }
-
     fn work(&self, ctx: &mut ThreadCtx) {
-        let threads = self.threads.load(Ordering::SeqCst);
+        let threads = ctx.num_threads();
         if threads <= 1 {
             // Sequential reference (and the degenerate one-thread cell):
             // all shards in global arrival order, no compaction.
@@ -249,16 +234,7 @@ impl Workload for SvcWorkload {
             self.drain(ctx, &all);
             return;
         }
-        let sched = self
-            .sched
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-            .expect("prepare has not run");
         let tid = ctx.thread_id();
-        let _hooks = htm_core::coop::install(sched.hooks(tid));
-        let _done = sched.finish_guard(tid);
-        sched.register(tid);
         if tid == threads - 1 {
             self.compact(ctx);
         } else {

@@ -1,8 +1,7 @@
 //! # tm-structs — transactional data structures
 //!
 //! Ports of the STAMP support library (`list.c`, `hashtable`, `rbtree.c`,
-//! `queue.c`, `heap.c`, `bitmap.c`, `vector.c`) to the workspace's
-//! simulated-HTM API. Every structure lives in simulated memory, is
+//! `queue.c`, `heap.c`) to the workspace's simulated-HTM API. Every structure lives in simulated memory, is
 //! addressed by a small copyable handle, and is manipulated through a
 //! [`htm_runtime::Tx`] inside atomic blocks — so all of its operations are
 //! tracked for conflicts and capacity and can abort.
@@ -32,14 +31,12 @@
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod array;
 pub mod hashtable;
 pub mod heap;
 pub mod list;
 pub mod queue;
 pub mod rbtree;
 
-pub use array::{TmArray, TmBitmap};
 pub use hashtable::TmHashTable;
 pub use heap::TmHeap;
 pub use list::TmList;
