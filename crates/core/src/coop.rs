@@ -60,7 +60,8 @@ pub trait CoopHooks {
     /// this thread the right to continue.
     fn pause(&self, point: CoopPoint);
     /// Reports one line-granular access (line id, is-write) for footprint
-    /// capture. [`EPOCH_LINE`] is used for the hybrid commit epoch.
+    /// capture. [`EPOCH_LINE`] is used for the hybrid commit epoch. Must
+    /// not park: it runs while the thread's hook slot is borrowed.
     fn access(&self, line: u64, write: bool);
 }
 
@@ -141,10 +142,13 @@ pub fn access(line: u64, write: bool) {
 
 #[cold]
 fn access_slow(line: u64, write: bool) {
-    let hooks = HOOKS.with(|h| h.borrow().clone());
-    if let Some(hooks) = hooks {
-        hooks.access(line, write);
-    }
+    // Called through the borrow: an access report never parks, so no other
+    // fiber can swap the hooks while it runs.
+    HOOKS.with(|h| {
+        if let Some(hooks) = &*h.borrow() {
+            hooks.access(line, write);
+        }
+    });
 }
 
 /// A wait on a condition only another thread can change (a held lock, a
