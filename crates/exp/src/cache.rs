@@ -1,12 +1,16 @@
 //! Content-addressed, self-healing result cache.
 //!
 //! Each finished cell is stored under `target/results/cache/` in a file
-//! named by the FNV-64 hash of its content key ([`crate::CellKind::key`]
-//! prefixed with [`CACHE_VERSION`] and a hash of the run-counter schema,
-//! [`ThreadStats::COUNTERS`]). The full key is stored alongside the
-//! result and verified on load, so a hash collision degrades to a miss,
-//! never a wrong answer. Because the key encodes *all* cell inputs:
+//! named by the FNV-64 hash of its content key ([`crate::CellKind::key`],
+//! the cell's derived `Debug` text) prefixed with the source hash: the
+//! FNV-64 of every `.rs` file under `crates/*/src`, computed by this
+//! crate's build script. The full key is stored alongside the result and
+//! verified on load, so a hash collision degrades to a miss, never a wrong
+//! answer. Because the key encodes *all* cell inputs and the source the
+//! binary was built from:
 //!
+//! * an edit to any simulator source makes every entry a miss, so a cached
+//!   result can never be older than the code that would recompute it,
 //! * an interrupted grid resumes exactly where it stopped (finished cells
 //!   load, unfinished ones recompute), and
 //! * specs sharing cells share results — `fig3` re-reads the grid `fig2`
@@ -24,46 +28,20 @@
 //! Stores are write-tmp-then-rename with a per-process tmp name, so
 //! concurrent coordinators (or a coordinator racing its own workers) can
 //! never interleave partial writes into the final path.
-//!
-//! Adding, removing or renaming a run counter changes the schema hash and
-//! so invalidates every entry by itself. Bump [`CACHE_VERSION`] only when
-//! the entry format changes, or when a simulator change alters results
-//! without changing any cell parameter.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 use htm_analyze::Json;
-use htm_runtime::ThreadStats;
 
 use crate::cell::CellResult;
 
-/// Version prefix folded into every cache key, ahead of the counter-schema
-/// hash. Bump it when the entry format changes or when a simulator change
-/// alters results without changing any cell parameter; a counter added,
-/// removed or renamed needs no bump (v5: service-workload cells, latency
-/// histograms in run stats, sink percentile columns).
-pub const CACHE_VERSION: &str = "v5";
+include!("fnv.rs");
+include!(concat!(env!("OUT_DIR"), "/source_hash.rs"));
 
-/// The key text an entry for `key` is stored and looked up under:
-/// `CACHE_VERSION`, the FNV-64 hash of [`ThreadStats::COUNTERS`], then
-/// `key`. The prefix is computed once per process.
+/// The key text an entry for `key` is stored and looked up under: the
+/// build's `SOURCE_HASH`, then `key`.
 fn versioned(key: &str) -> String {
-    static PREFIX: OnceLock<String> = OnceLock::new();
-    let prefix = PREFIX.get_or_init(|| {
-        format!("{CACHE_VERSION}.{:016x}", fnv64(&ThreadStats::COUNTERS.join(",")))
-    });
-    format!("{prefix}|{key}")
-}
-
-/// 64-bit FNV-1a (dependency-free, stable across platforms and runs).
-pub fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    format!("{SOURCE_HASH:016x}|{key}")
 }
 
 /// What a cache load found.
@@ -101,7 +79,7 @@ impl ResultCache {
     /// The file an entry for `key` lives at (exposed for the chaos
     /// harness, which corrupts entries deliberately).
     pub fn path_for(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", fnv64(&versioned(key))))
+        self.dir.join(format!("{:016x}.json", fnv64(versioned(key))))
     }
 
     /// Loads the result cached under `key`. Backwards-compatible wrapper
@@ -281,17 +259,19 @@ mod tests {
     #[test]
     fn old_version_entry_is_a_miss_not_a_hit() {
         let cache = temp_cache("oldversion");
-        // Hand-craft previous-version entries at the exact path the
-        // current version hashes "k" to: intact checksum envelope, stale
-        // key text. `v4|k` predates a version bump; `v5|k` is this
-        // version's key before the counter schema joined the prefix. Both
-        // must miss (and recompute), and an intact stale entry is not
-        // corruption, so it must not be quarantined either.
+        // Hand-craft stale entries at the exact path this build hashes "k"
+        // to: intact checksum envelope, stale key text. The first is "k"
+        // under the earlier hand-bumped prefix (a version tag and the
+        // run-counter schema hash); the second is "k" under another build's
+        // source hash. Both must miss (and recompute), and an intact stale
+        // entry is not corruption, so it must not be quarantined either.
         std::fs::create_dir_all(cache.dir()).unwrap();
         let path = cache.path_for("k");
-        for stale in ["v4|k", "v5|k"] {
+        let schema = fnv64(htm_runtime::ThreadStats::COUNTERS.join(","));
+        let stale = [format!("v5.{schema:016x}|k"), format!("{:016x}|k", SOURCE_HASH ^ 1)];
+        for stale in stale {
             let body = Json::Obj(vec![
-                ("key".into(), Json::str(stale)),
+                ("key".into(), Json::str(stale.as_str())),
                 ("id".into(), Json::str("id")),
                 ("result".into(), sample().to_json()),
             ]);
@@ -304,7 +284,7 @@ mod tests {
             assert_eq!(cache.load_checked("k"), Load::Miss, "{stale}");
             assert!(path.exists(), "stale-but-intact entries are not quarantined");
         }
-        // A fresh store overwrites it and hits under the current version.
+        // A fresh store overwrites it and hits under this build's hash.
         cache.store("k", "id", &sample()).unwrap();
         assert_eq!(cache.load("k"), Some(sample()));
         let _ = std::fs::remove_dir_all(cache.dir());

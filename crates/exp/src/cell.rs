@@ -5,8 +5,10 @@
 //! from the root seed at build time) live inside the [`CellKind`], so a
 //! cell computes identically on any OS thread, in any order, in any
 //! process — which is what makes the parallel scheduler and the
-//! content-addressed cache sound. [`CellKind::key`] is the stable content
-//! encoding the cache hashes.
+//! content-addressed cache sound. [`CellKind::key`] is the cell's derived
+//! `Debug` text, so every field of every cell type is part of the content
+//! the cache hashes. [`platform_key`], [`variant_key`] and [`scale_key`]
+//! are the short fragments cell ids and CLI flags are spelled with.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -50,19 +52,6 @@ pub enum MachineTweak {
     RestrictionPerStore(f64),
     /// Toggle the Intel Core hardware prefetcher.
     Prefetcher(bool),
-}
-
-impl MachineTweak {
-    fn key(&self) -> String {
-        match self {
-            MachineTweak::None => "none".into(),
-            MachineTweak::Bgq(BgqMode::ShortRunning) => "bgq:short".into(),
-            MachineTweak::Bgq(BgqMode::LongRunning) => "bgq:long".into(),
-            MachineTweak::TmcamEntries(n) => format!("tmcam:{n}"),
-            MachineTweak::RestrictionPerStore(p) => format!("restrict:{p:?}"),
-            MachineTweak::Prefetcher(b) => format!("prefetch:{b}"),
-        }
-    }
 }
 
 /// One STAMP measurement cell: (platform × benchmark × variant × threads)
@@ -162,28 +151,6 @@ impl StampCell {
         }
     }
 
-    fn key(&self) -> String {
-        let p = self.policy;
-        format!(
-            "{}|{}|{}|{}t|pol{},{},{},{}|{}|f{:?}|{}|s{}|r{}|c{}|fb{}",
-            platform_key(self.platform),
-            self.bench.label(),
-            variant_key(self.variant),
-            self.threads,
-            p.lock_retries,
-            p.persistent_retries,
-            p.transient_retries,
-            p.bgq_retries,
-            self.tweak.key(),
-            self.fault_transient_per_begin,
-            scale_key(self.scale),
-            self.seed,
-            self.reps,
-            self.certify as u8,
-            self.fallback.key(),
-        )
-    }
-
     /// Runs the cell's repetitions and returns the averaged summary plus
     /// the rep-merged statistics.
     fn run(&self) -> (Cell, RunStats) {
@@ -198,7 +165,7 @@ impl StampCell {
     }
 }
 
-/// Stable key fragment for a platform.
+/// Short platform name for cell ids and metric names.
 pub fn platform_key(p: Platform) -> &'static str {
     match p {
         Platform::BlueGeneQ => "bgq",
@@ -208,7 +175,7 @@ pub fn platform_key(p: Platform) -> &'static str {
     }
 }
 
-/// Stable key fragment for a variant.
+/// Short variant name for cell ids.
 pub fn variant_key(v: Variant) -> &'static str {
     match v {
         Variant::Original => "orig",
@@ -216,7 +183,7 @@ pub fn variant_key(v: Variant) -> &'static str {
     }
 }
 
-/// Stable key fragment for a scale.
+/// Scale name as the `--scale` flag spells it.
 pub fn scale_key(s: Scale) -> &'static str {
     match s {
         Scale::Tiny => "tiny",
@@ -236,16 +203,6 @@ pub enum SvcMode {
     /// A brutal-contention cell (tiny key space, extreme skew) feeding the
     /// lint rule engine.
     Lint,
-}
-
-impl SvcMode {
-    fn key(self) -> &'static str {
-        match self {
-            SvcMode::Measure => "measure",
-            SvcMode::Blame => "blame",
-            SvcMode::Lint => "lint",
-        }
-    }
 }
 
 /// One service-traffic cell: (platform × fallback tier × Zipf skew) at a
@@ -281,19 +238,6 @@ impl SvcCell {
             p.sessions = n;
         }
         p
-    }
-
-    fn key(&self) -> String {
-        format!(
-            "svc|{}|fb{}|z{}|{}|n{}|s{}|{}",
-            platform_key(self.platform),
-            self.fallback.key(),
-            self.skew_permille,
-            scale_key(self.scale),
-            self.sessions.unwrap_or(0),
-            self.seed,
-            self.mode.key(),
-        )
     }
 
     fn run_measure(&self) -> CellResult {
@@ -389,64 +333,6 @@ fn hot_keys_note(hot: &[htm_analyze::HotKey]) -> String {
     hot.iter().take(8).map(|h| h.to_string()).collect::<Vec<_>>().join("\n")
 }
 
-/// Figure-6 queue implementation under test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueSpec {
-    /// Michael–Scott lock-free baseline.
-    LockFree,
-    /// One transactional attempt, then the lock-free path.
-    NoRetry,
-    /// Tuned transactional retries, then the lock-free path.
-    OptRetry(u32),
-    /// zEC12 constrained transactions.
-    Constrained,
-}
-
-impl QueueSpec {
-    fn to_impl(self) -> htm_apps::QueueImpl {
-        match self {
-            QueueSpec::LockFree => htm_apps::QueueImpl::LockFree,
-            QueueSpec::NoRetry => htm_apps::QueueImpl::NoRetryTm,
-            QueueSpec::OptRetry(retries) => htm_apps::QueueImpl::OptRetryTm { retries },
-            QueueSpec::Constrained => htm_apps::QueueImpl::ConstrainedTm,
-        }
-    }
-
-    fn key(self) -> String {
-        match self {
-            QueueSpec::LockFree => "lockfree".into(),
-            QueueSpec::NoRetry => "noretry".into(),
-            QueueSpec::OptRetry(r) => format!("optretry{r}"),
-            QueueSpec::Constrained => "constrained".into(),
-        }
-    }
-}
-
-/// Figure-9 TLS kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TlsKernelId {
-    /// The milc-like loop.
-    Milc,
-    /// The sphinx-like loop.
-    Sphinx,
-}
-
-impl TlsKernelId {
-    fn to_kernel(self) -> htm_apps::TlsKernel {
-        match self {
-            TlsKernelId::Milc => htm_apps::TlsKernel::Milc,
-            TlsKernelId::Sphinx => htm_apps::TlsKernel::Sphinx,
-        }
-    }
-
-    fn key(self) -> &'static str {
-        match self {
-            TlsKernelId::Milc => "milc",
-            TlsKernelId::Sphinx => "sphinx",
-        }
-    }
-}
-
 /// What one cell computes.
 #[derive(Clone, Debug)]
 pub enum CellKind {
@@ -474,7 +360,7 @@ pub enum CellKind {
     /// A Figure-6 queue run on zEC12.
     Queue {
         /// Implementation under test.
-        imp: QueueSpec,
+        imp: htm_apps::QueueImpl,
         /// Worker threads.
         threads: u32,
         /// Enqueue/dequeue pairs per thread.
@@ -484,7 +370,7 @@ pub enum CellKind {
     /// baseline).
     Tls {
         /// Loop kernel.
-        kernel: TlsKernelId,
+        kernel: htm_apps::TlsKernel,
         /// Worker threads (0 = sequential baseline).
         threads: u32,
         /// Use the POWER8 suspend/resume instructions.
@@ -535,46 +421,11 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// The stable content key the cache hashes. Two cells with equal keys
-    /// compute identical results (all inputs are part of the key).
+    /// The content key the cache hashes: the cell's derived `Debug` text,
+    /// which names the variant and every field, so two cells with equal
+    /// keys compute identical results.
     pub fn key(&self) -> String {
-        match self {
-            CellKind::Stamp(c) => format!("stamp|{}", c.key()),
-            CellKind::Hle(c) => format!("hle|{}", c.key()),
-            CellKind::CertifyPair(c) => format!("certpair|{}", c.key()),
-            CellKind::Trace { bench, variant, scale, seed } => format!(
-                "trace|{}|{}|{}|s{}",
-                bench.label(),
-                variant_key(*variant),
-                scale_key(*scale),
-                seed
-            ),
-            CellKind::Queue { imp, threads, ops } => {
-                format!("queue|{}|{}t|o{}", imp.key(), threads, ops)
-            }
-            CellKind::Tls { kernel, threads, suspend, iters } => {
-                format!("tls|{}|{}t|susp{}|i{}", kernel.key(), threads, suspend, iters)
-            }
-            CellKind::PolicyMicro { requester_wins, n_ops } => {
-                format!("policymicro|rw{requester_wins}|o{n_ops}")
-            }
-            CellKind::Model { kernel, platform, tier } => {
-                format!("model|{}|{}|{}", kernel, platform_key(*platform), tier.key())
-            }
-            CellKind::Svc(c) => c.key(),
-            CellKind::Lint { bench, platform, variant, threads, scale, seed, fallback } => {
-                format!(
-                    "lint|{}|{}|{}|{}t|{}|s{}|fb{}",
-                    bench.label(),
-                    platform_key(*platform),
-                    variant_key(*variant),
-                    threads,
-                    scale_key(*scale),
-                    seed,
-                    fallback.key()
-                )
-            }
-        }
+        format!("{self:?}")
     }
 
     /// [`CellKind::compute`] with a panic caught and returned as its
@@ -652,7 +503,7 @@ impl CellKind {
             }
             CellKind::Queue { imp, threads, ops } => {
                 let sim = Sim::of(Platform::Zec12.config());
-                let r = htm_apps::run_queue_bench(&sim, imp.to_impl(), *threads, *ops);
+                let r = htm_apps::run_queue_bench(&sim, *imp, *threads, *ops);
                 let mut out = CellResult::new();
                 out.put("cycles", r.cycles as f64);
                 out.put("operations", r.operations as f64);
@@ -660,7 +511,7 @@ impl CellKind {
             }
             CellKind::Tls { kernel, threads, suspend, iters } => {
                 let sim = Sim::of(Platform::Power8.config());
-                let l = htm_apps::TlsLoop::create(&sim, kernel.to_kernel(), *iters);
+                let l = htm_apps::TlsLoop::create(&sim, *kernel, *iters);
                 let mut out = CellResult::new();
                 if *threads == 0 {
                     let (cycles, sum) = l.run_sequential(&sim);
@@ -964,28 +815,79 @@ mod tests {
 
     #[test]
     fn keys_distinguish_all_inputs() {
-        let base = StampCell::tuned(
-            Platform::IntelCore,
-            BenchId::Genome,
-            Variant::Modified,
-            4,
-            Scale::Tiny,
-            42,
-        );
-        let k = CellKind::Stamp(base.clone()).key();
-        let mut other = base.clone();
-        other.seed = 43;
-        assert_ne!(k, CellKind::Stamp(other).key());
-        let mut other = base.clone();
-        other.certify = true;
-        assert_ne!(k, CellKind::Stamp(other.clone()).key());
-        assert_ne!(CellKind::Stamp(other.clone()).key(), CellKind::CertifyPair(other).key());
-        let mut other = base.clone();
-        other.tweak = MachineTweak::Prefetcher(false);
-        assert_ne!(k, CellKind::Stamp(other).key());
-        let mut other = base;
-        other.fallback = FallbackPolicy::Stm;
-        assert_ne!(k, CellKind::Stamp(other).key());
+        use htm_apps::{QueueImpl, TlsKernel};
+        use FallbackPolicy::{Lock, Stm};
+        let (bench, variant, tiny) = (BenchId::Genome, Variant::Modified, Scale::Tiny);
+        let base = StampCell::tuned(Platform::IntelCore, bench, variant, 4, tiny, 42);
+        let stamp = |vary: fn(&mut StampCell)| {
+            let mut c = base.clone();
+            vary(&mut c);
+            c
+        };
+        let svc = SvcCell {
+            platform: Platform::IntelCore,
+            fallback: Lock,
+            skew_permille: 600,
+            scale: tiny,
+            sessions: None,
+            seed: 42,
+            mode: SvcMode::Measure,
+        };
+        let trace = |variant| CellKind::Trace { bench, variant, scale: tiny, seed: 42 };
+        let queue = |retries| CellKind::Queue {
+            imp: QueueImpl::OptRetryTm { retries },
+            threads: 1,
+            ops: 40,
+        };
+        let tls =
+            |suspend| CellKind::Tls { kernel: TlsKernel::Milc, threads: 2, suspend, iters: 8 };
+        let micro = |requester_wins| CellKind::PolicyMicro { requester_wins, n_ops: 100 };
+        let model = |tier| CellKind::Model { kernel: "counter", platform: Platform::Power8, tier };
+        let lint = |fallback| CellKind::Lint {
+            bench,
+            platform: Platform::Zec12,
+            variant,
+            threads: 2,
+            scale: tiny,
+            seed: 42,
+            fallback,
+        };
+        // One cell of every variant beside a copy with one field changed.
+        let pairs = [
+            (CellKind::Stamp(base.clone()), CellKind::Stamp(stamp(|c| c.seed = 43))),
+            (CellKind::Stamp(base.clone()), CellKind::Stamp(stamp(|c| c.certify = true))),
+            (CellKind::Stamp(base.clone()), CellKind::Stamp(stamp(|c| c.fallback = Stm))),
+            (
+                CellKind::Stamp(base.clone()),
+                CellKind::Stamp(stamp(|c| c.tweak = MachineTweak::Prefetcher(false))),
+            ),
+            (CellKind::Hle(base.clone()), CellKind::Hle(stamp(|c| c.threads = 2))),
+            (CellKind::CertifyPair(base.clone()), CellKind::CertifyPair(stamp(|c| c.reps = 2))),
+            (trace(variant), trace(Variant::Original)),
+            (queue(3), queue(4)),
+            (tls(false), tls(true)),
+            (micro(true), micro(false)),
+            (model(htm_model::Tier::Lock), model(htm_model::Tier::Stm)),
+            (CellKind::Svc(svc.clone()), CellKind::Svc(SvcCell { seed: 43, ..svc })),
+            (lint(Lock), lint(Stm)),
+        ];
+        for (a, b) in &pairs {
+            assert_ne!(a.key(), b.key(), "{a:?}");
+        }
+        let kinds: std::collections::HashSet<_> =
+            pairs.iter().map(|(a, _)| std::mem::discriminant(a)).collect();
+        assert_eq!(kinds.len(), 10, "every CellKind variant is covered");
+        // The variant is part of the key: one payload, three variants,
+        // three keys.
+        let keys: std::collections::HashSet<_> = [
+            CellKind::Stamp(base.clone()),
+            CellKind::Hle(base.clone()),
+            CellKind::CertifyPair(base),
+        ]
+        .iter()
+        .map(CellKind::key)
+        .collect();
+        assert_eq!(keys.len(), 3);
     }
 
     #[test]
@@ -1039,7 +941,7 @@ mod tests {
     #[test]
     fn queue_cell_is_deterministic() {
         // One worker thread: multi-threaded runs race real OS threads.
-        let kind = CellKind::Queue { imp: QueueSpec::NoRetry, threads: 1, ops: 5 };
+        let kind = CellKind::Queue { imp: htm_apps::QueueImpl::NoRetryTm, threads: 1, ops: 5 };
         assert_eq!(kind.compute(), kind.compute());
         assert!(kind.compute().get("cycles") > 0.0);
     }

@@ -353,14 +353,18 @@ mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use super::*;
-    use crate::cell::{CellKind, QueueSpec};
+    use crate::cell::CellKind;
 
     fn queue_cells(n: usize) -> Vec<CellSpec> {
         (0..n)
             .map(|i| {
                 CellSpec::new(
                     format!("q{i}"),
-                    CellKind::Queue { imp: QueueSpec::NoRetry, threads: 1, ops: 1 + i as u64 },
+                    CellKind::Queue {
+                        imp: htm_apps::QueueImpl::NoRetryTm,
+                        threads: 1,
+                        ops: 1 + i as u64,
+                    },
                 )
             })
             .collect()

@@ -2,11 +2,12 @@
 //! grids. Renders reproduce the legacy binaries' tables and TSV bit for
 //! bit.
 
+use htm_apps::{QueueImpl, TlsKernel};
 use htm_machine::Platform;
 use stamp::{BenchId, Scale, Variant};
 
 use super::{grid_cell, grid_id};
-use crate::cell::{CellKind, CellSpec, QueueSpec, StampCell, TlsKernelId};
+use crate::cell::{CellKind, CellSpec, StampCell};
 use crate::grid::{geomean, machine_for};
 use crate::sink::{f2, pct};
 use crate::spec::ExperimentSpec;
@@ -262,12 +263,12 @@ fn fig6_ops(scale: Scale) -> u64 {
     }
 }
 
-fn queue_id(imp: QueueSpec, threads: u32) -> String {
+fn queue_id(imp: QueueImpl, threads: u32) -> String {
     let label = match imp {
-        QueueSpec::LockFree => "lockfree".to_string(),
-        QueueSpec::NoRetry => "noretry".to_string(),
-        QueueSpec::OptRetry(r) => format!("optretry{r}"),
-        QueueSpec::Constrained => "constrained".to_string(),
+        QueueImpl::LockFree => "lockfree".to_string(),
+        QueueImpl::NoRetryTm => "noretry".to_string(),
+        QueueImpl::OptRetryTm { retries } => format!("optretry{retries}"),
+        QueueImpl::ConstrainedTm => "constrained".to_string(),
     };
     format!("queue-{label}-{threads}t")
 }
@@ -280,23 +281,23 @@ pub static FIG6: ExperimentSpec = ExperimentSpec {
     build: |opts| {
         let ops = fig6_ops(opts.scale);
         let mut cells = Vec::new();
-        let mut push = |imp: QueueSpec, threads: u32| {
+        let mut push = |imp: QueueImpl, threads: u32| {
             cells
                 .push(CellSpec::new(queue_id(imp, threads), CellKind::Queue { imp, threads, ops }));
         };
         for t in FIG6_THREADS {
-            push(QueueSpec::LockFree, t);
+            push(QueueImpl::LockFree, t);
         }
         for t in FIG6_THREADS {
-            push(QueueSpec::NoRetry, t);
+            push(QueueImpl::NoRetryTm, t);
         }
         for t in FIG6_THREADS {
             for r in FIG6_RETRY_GRID {
-                push(QueueSpec::OptRetry(r), t);
+                push(QueueImpl::OptRetryTm { retries: r }, t);
             }
         }
         for t in FIG6_THREADS {
-            push(QueueSpec::Constrained, t);
+            push(QueueImpl::ConstrainedTm, t);
         }
         cells
     },
@@ -307,7 +308,7 @@ pub static FIG6: ExperimentSpec = ExperimentSpec {
         let mut tsv = Vec::new();
         let baselines: Vec<f64> = FIG6_THREADS
             .iter()
-            .map(|&t| set.get(&queue_id(QueueSpec::LockFree, t)).get("cycles"))
+            .map(|&t| set.get(&queue_id(QueueImpl::LockFree, t)).get("cycles"))
             .collect();
         for which in ["NoRetryTM", "OptRetryTM", "ConstrainedTM"] {
             let mut row = vec![which.to_string()];
@@ -316,14 +317,17 @@ pub static FIG6: ExperimentSpec = ExperimentSpec {
                     "OptRetryTM" => FIG6_RETRY_GRID
                         .iter()
                         .map(|&r| {
-                            set.get(&queue_id(QueueSpec::OptRetry(r), t)).get("cycles")
+                            set.get(&queue_id(QueueImpl::OptRetryTm { retries: r }, t))
+                                .get("cycles")
                                 / baselines[i]
                         })
                         .fold(f64::INFINITY, f64::min),
                     "NoRetryTM" => {
-                        set.get(&queue_id(QueueSpec::NoRetry, t)).get("cycles") / baselines[i]
+                        set.get(&queue_id(QueueImpl::NoRetryTm, t)).get("cycles") / baselines[i]
                     }
-                    _ => set.get(&queue_id(QueueSpec::Constrained, t)).get("cycles") / baselines[i],
+                    _ => {
+                        set.get(&queue_id(QueueImpl::ConstrainedTm, t)).get("cycles") / baselines[i]
+                    }
                 };
                 row.push(format!("{rel:.2}"));
                 tsv.push(format!("{which}\t{t}\t{rel:.4}"));
@@ -442,22 +446,15 @@ fn fig9_iters(scale: Scale) -> u32 {
     }
 }
 
-fn tls_id(kernel: TlsKernelId, threads: u32, suspend: bool) -> String {
+fn tls_id(kernel: TlsKernel, threads: u32, suspend: bool) -> String {
     let k = match kernel {
-        TlsKernelId::Milc => "milc",
-        TlsKernelId::Sphinx => "sphinx",
+        TlsKernel::Milc => "milc",
+        TlsKernel::Sphinx => "sphinx",
     };
     if threads == 0 {
         format!("tls-{k}-seq")
     } else {
         format!("tls-{k}-{}-{threads}t", if suspend { "suspend" } else { "abort" })
-    }
-}
-
-fn tls_kernel(kernel: TlsKernelId) -> htm_apps::TlsKernel {
-    match kernel {
-        TlsKernelId::Milc => htm_apps::TlsKernel::Milc,
-        TlsKernelId::Sphinx => htm_apps::TlsKernel::Sphinx,
     }
 }
 
@@ -469,7 +466,7 @@ pub static FIG9: ExperimentSpec = ExperimentSpec {
     build: |opts| {
         let iters = fig9_iters(opts.scale);
         let mut cells = Vec::new();
-        for kernel in [TlsKernelId::Milc, TlsKernelId::Sphinx] {
+        for kernel in [TlsKernel::Milc, TlsKernel::Sphinx] {
             cells.push(CellSpec::new(
                 tls_id(kernel, 0, false),
                 CellKind::Tls { kernel, threads: 0, suspend: false, iters },
@@ -487,8 +484,7 @@ pub static FIG9: ExperimentSpec = ExperimentSpec {
     },
     render: |_opts, set, sink| {
         let mut tsv = Vec::new();
-        for kernel in [TlsKernelId::Milc, TlsKernelId::Sphinx] {
-            let name = tls_kernel(kernel);
+        for kernel in [TlsKernel::Milc, TlsKernel::Sphinx] {
             let mut headers = vec!["variant".to_string()];
             headers.extend((1..=6u32).map(|t| format!("{t}T")));
             let mut rows = Vec::new();
@@ -508,11 +504,11 @@ pub static FIG9: ExperimentSpec = ExperimentSpec {
                     let speedup = seq_cycles / r.get("cycles");
                     let aborts = r.get("abort_ratio");
                     row.push(format!("{speedup:.2}"));
-                    tsv.push(format!("{name}\t{use_suspend}\t{t}\t{speedup:.4}\t{aborts:.4}"));
+                    tsv.push(format!("{kernel}\t{use_suspend}\t{t}\t{speedup:.4}\t{aborts:.4}"));
                 }
                 rows.push(row);
             }
-            sink.table(&format!("Figure 9: TLS on POWER8 — {name}"), &headers, &rows);
+            sink.table(&format!("Figure 9: TLS on POWER8 — {kernel}"), &headers, &rows);
         }
         sink.tsv("fig9", "kernel\tsuspend\tthreads\tspeedup\tabort_ratio", tsv);
     },

@@ -2,13 +2,12 @@
 //! the certifier-overhead measurement, and the workload linter.
 
 use htm_analyze::lint;
+use htm_apps::{QueueImpl, TlsKernel};
 use htm_machine::Platform;
 use htm_runtime::{FallbackPolicy, RetryPolicy};
 use stamp::{BenchId, Scale, Variant};
 
-use crate::cell::{
-    platform_key, CellKind, CellSpec, QueueSpec, StampCell, SvcCell, SvcMode, TlsKernelId,
-};
+use crate::cell::{platform_key, CellKind, CellSpec, StampCell, SvcCell, SvcMode};
 use crate::sink::f2;
 use crate::spec::ExperimentSpec;
 
@@ -387,10 +386,10 @@ pub static FABRIC_SMOKE: ExperimentSpec = ExperimentSpec {
     build: |opts| {
         let mut cells = Vec::new();
         let queues = [
-            ("lockfree", QueueSpec::LockFree),
-            ("noretry", QueueSpec::NoRetry),
-            ("optretry3", QueueSpec::OptRetry(3)),
-            ("constrained", QueueSpec::Constrained),
+            ("lockfree", QueueImpl::LockFree),
+            ("noretry", QueueImpl::NoRetryTm),
+            ("optretry3", QueueImpl::OptRetryTm { retries: 3 }),
+            ("constrained", QueueImpl::ConstrainedTm),
         ];
         for (label, imp) in queues {
             for ops in [40u64, 80] {
@@ -411,7 +410,7 @@ pub static FABRIC_SMOKE: ExperimentSpec = ExperimentSpec {
                 },
             ));
         }
-        for (label, kernel) in [("milc", TlsKernelId::Milc), ("sphinx", TlsKernelId::Sphinx)] {
+        for (label, kernel) in [("milc", TlsKernel::Milc), ("sphinx", TlsKernel::Sphinx)] {
             cells.push(CellSpec::new(
                 format!("tls-{label}-seq"),
                 CellKind::Tls { kernel, threads: 0, suspend: false, iters: 64 },

@@ -15,7 +15,8 @@
 //!   `--no-cache` run recomputes deterministic cells to the same values,
 //!   and overlapping specs (fig2/fig3) share cells.
 
-use htm_exp::cell::{CellKind, QueueSpec, StampCell, SvcCell, SvcMode};
+use htm_apps::QueueImpl;
+use htm_exp::cell::{CellKind, StampCell, SvcCell, SvcMode};
 use htm_exp::engine::compute_cells;
 use htm_exp::sink::{f2, render_table_string};
 use htm_exp::{specs, CellSpec, RunOpts};
@@ -209,7 +210,10 @@ fn cached_rerun_and_no_cache_run_agree_on_deterministic_cells() {
     // agree: cold compute, warm cache, and --no-cache recompute.
     let dir = temp_dir("determinism");
     let cells = vec![
-        CellSpec::new("q-1t", CellKind::Queue { imp: QueueSpec::OptRetry(4), threads: 1, ops: 50 }),
+        CellSpec::new(
+            "q-1t",
+            CellKind::Queue { imp: QueueImpl::OptRetryTm { retries: 4 }, threads: 1, ops: 50 },
+        ),
         CellSpec::new(
             "trace-genome",
             CellKind::Trace {
@@ -240,7 +244,10 @@ fn truncated_cache_entry_heals_and_recomputes_identically() {
     // serve a poisoned value.
     let dir = temp_dir("heal");
     let cells = vec![
-        CellSpec::new("q-1t", CellKind::Queue { imp: QueueSpec::OptRetry(4), threads: 1, ops: 50 }),
+        CellSpec::new(
+            "q-1t",
+            CellKind::Queue { imp: QueueImpl::OptRetryTm { retries: 4 }, threads: 1, ops: 50 },
+        ),
         CellSpec::new(
             "trace-genome",
             CellKind::Trace {

@@ -70,7 +70,7 @@ impl FallbackPolicy {
     pub const ALL: [FallbackPolicy; 3] =
         [FallbackPolicy::Lock, FallbackPolicy::Stm, FallbackPolicy::Rot];
 
-    /// Short stable key used in cache keys, TSV columns and CLI flags.
+    /// Short stable name used in cell ids, TSV columns and CLI flags.
     pub fn key(self) -> &'static str {
         match self {
             FallbackPolicy::Lock => "lock",

@@ -37,8 +37,6 @@ pub struct SimConfig {
     pub conflict_policy: ConflictPolicy,
     /// Base seed for the per-thread deterministic RNGs.
     pub seed: u64,
-    /// Record per-transaction footprints in run statistics (costs memory).
-    pub trace_footprints: bool,
     /// Deterministic fault-injection plan (empty by default: injects
     /// nothing, costs nothing, leaves runs bit-identical).
     pub faults: FaultPlan,
@@ -77,7 +75,6 @@ impl SimConfig {
             mem_words: 1 << 22,
             conflict_policy: ConflictPolicy::RequesterWins,
             seed: 0x5EED_0001,
-            trace_footprints: false,
             faults: FaultPlan::none(),
             watchdog: WatchdogConfig::default(),
             fallback: FallbackPolicy::Lock,
@@ -102,12 +99,6 @@ impl SimConfig {
     /// Sets the conflict-resolution policy.
     pub fn conflict_policy(mut self, p: ConflictPolicy) -> SimConfig {
         self.conflict_policy = p;
-        self
-    }
-
-    /// Enables footprint tracing in worker statistics.
-    pub fn trace_footprints(mut self, on: bool) -> SimConfig {
-        self.trace_footprints = on;
         self
     }
 
@@ -349,7 +340,6 @@ impl Sim {
             mode,
             self.cfg.conflict_policy,
             self.cfg.seed,
-            self.cfg.trace_footprints,
             mode == ExecMode::Hardware && num_threads > 1,
             faults,
         );
@@ -387,20 +377,13 @@ impl Sim {
         ctx
     }
 
-    /// Takes the footprint tracer out of a traced context after the run, or
-    /// `None` if the context was not created with [`Sim::seq_ctx_traced`]
-    /// (or the tracer was already taken).
-    pub fn try_take_tracer(&self, ctx: &mut ThreadCtx) -> Option<SeqTracer> {
-        ctx.engine_mut().tracer.take()
-    }
-
     /// Takes the footprint tracer out of a traced context after the run.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` was not created with [`Sim::seq_ctx_traced`].
     pub fn take_tracer(&self, ctx: &mut ThreadCtx) -> SeqTracer {
-        self.try_take_tracer(ctx).expect("context has no tracer")
+        ctx.engine_mut().tracer.take().expect("context has no tracer")
     }
 
     /// FNV-1a digest of the simulated memory (cheap cross-run equality
@@ -1276,28 +1259,6 @@ mod tests {
         // 16 words = 128 bytes: 2 lines at 64 B, 1 line at 256 B.
         assert_eq!(tracer.samples(0).last(), Some(&(2, 2)));
         assert_eq!(tracer.samples(1).last(), Some(&(1, 1)));
-    }
-
-    #[test]
-    fn footprint_stats_record_committed_sizes() {
-        let s = Sim::new(
-            SimConfig::new(Platform::IntelCore.config()).mem_words(1 << 18).trace_footprints(true),
-        );
-        // Leave a gap after the lock line so the stride prefetcher cannot
-        // pull an extra line into the monitored set.
-        let _gap = s.alloc().alloc_aligned(64, 64);
-        let a = s.alloc().alloc_aligned(32, 64);
-        let stats = s.run_parallel(1, RetryPolicy::default(), |ctx| {
-            ctx.atomic(|tx| {
-                let v = tx.load(a)?;
-                tx.store(a, v + 1)
-            });
-        });
-        let fps: Vec<_> = stats.footprints().collect();
-        assert_eq!(fps.len(), 1);
-        // Lock subscription adds one read line beside the data line.
-        assert_eq!(fps[0].1, 1, "one store line");
-        assert_eq!(fps[0].0, 2, "data line + lock line");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A [`LineSet`] spans every line of one arena. Membership is one bit
 //! test; a list keeps the inserted lines in insertion order for iteration
-//! (commit, release, footprint counts), and clearing zeroes only the bitmap
+//! (commit, release), and clearing zeroes only the bitmap
 //! words that list touched, so a set reused across retries costs its
 //! footprint, not the arena, per attempt. The bitmap grows on demand up to
 //! the highest line inserted, so an engine that never tracks a line (every
@@ -64,12 +64,6 @@ impl LineSet {
         self.bits.resize(words, 0);
     }
 
-    /// Number of lines in the set.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Whether the set is empty.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
@@ -102,7 +96,6 @@ mod tests {
         assert!(s.insert(LineId(3)));
         assert!(s.insert(LineId(64)));
         assert!(!s.insert(LineId(3)), "a second insert is not new");
-        assert_eq!(s.len(), 3);
         assert_eq!(s.iter().collect::<Vec<_>>(), [LineId(129), LineId(3), LineId(64)]);
         assert!(s.contains(LineId(64)) && !s.contains(LineId(65)));
         assert!(!s.contains(LineId(130)) && !s.contains(LineId(u32::MAX)), "past the bound");
@@ -185,7 +178,7 @@ mod proptests {
                         model.clear();
                     }
                 }
-                prop_assert_eq!(set.len(), model.len());
+                prop_assert_eq!(set.iter().count(), model.len());
                 prop_assert_eq!(set.is_empty(), model.is_empty());
                 let lines: BTreeSet<LineId> = set.iter().collect();
                 prop_assert_eq!(&lines, &model);

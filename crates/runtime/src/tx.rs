@@ -109,7 +109,6 @@ pub struct TxnEngine {
     /// once all workers have registered on their cores).
     smt_slowdown: std::cell::Cell<Option<f64>>,
     charge_frac: std::cell::Cell<f64>,
-    trace_footprints: bool,
     /// Decorrelated scheduling RNG: retry backoff, jitter and the zEC12
     /// restriction draw come from here so the *workload* RNG stream depends
     /// only on body executions (a prerequisite for record/replay).
@@ -187,7 +186,6 @@ impl TxnEngine {
         mode: ExecMode,
         policy: ConflictPolicy,
         seed: u64,
-        trace_footprints: bool,
         pace: bool,
         faults: Option<FaultState>,
     ) -> TxnEngine {
@@ -228,7 +226,6 @@ impl TxnEngine {
             yield_rng: std::cell::Cell::new(seed | 1),
             smt_slowdown: std::cell::Cell::new(None),
             charge_frac: std::cell::Cell::new(0.0),
-            trace_footprints,
             sched_rng: SmallRng::seed_from_u64(
                 seed ^ (0xA5A5_5A5A_C3C3_3C3Du64.wrapping_mul(thread_id as u64 + 1)),
             ),
@@ -627,12 +624,6 @@ impl TxnEngine {
                 } else {
                     self.stats.hw_commits += 1;
                 }
-                if self.trace_footprints {
-                    self.stats.footprints.push((
-                        self.tracker.load_lines() as u32,
-                        self.tracker.store_lines() as u32,
-                    ));
-                }
                 Ok(())
             }
             Err(cause) => {
@@ -839,21 +830,6 @@ impl TxnEngine {
         if !skip_epoch_bump {
             self.epoch_bump(); // even: write-back published
         }
-        if self.trace_footprints {
-            // The hardware line sets are idle in a software transaction:
-            // refill them to count the footprint's distinct lines.
-            self.read_lines.clear();
-            self.write_lines.clear();
-            for &(addr, _) in self.soft_log.entries() {
-                self.read_lines.insert(self.mem.line_of(addr));
-            }
-            for &addr in self.write_buf.keys() {
-                self.write_lines.insert(self.mem.line_of(addr));
-            }
-            self.stats
-                .footprints
-                .push((self.read_lines.len() as u32, self.write_lines.len() as u32));
-        }
         self.write_buf.clear();
         self.soft_log.clear();
         for (addr, words) in std::mem::take(&mut self.pending_frees) {
@@ -1012,8 +988,6 @@ impl TxnEngine {
     /// Begins an irrevocable (global-lock) block. The caller holds the lock.
     pub(crate) fn begin_irrevocable(&mut self) {
         assert_eq!(self.state, BlockState::Idle, "nested atomic blocks are not supported");
-        self.read_lines.clear();
-        self.write_lines.clear();
         // Hybrid runs: irrevocable writes land in place throughout the
         // body, so the whole section reads as one write-back to software
         // snapshots (the epoch stays odd until the section ends).
@@ -1036,11 +1010,6 @@ impl TxnEngine {
             c.get_mut().commit_irrevocable(seq);
         }
         self.stats.irrevocable_commits += 1;
-        if self.trace_footprints {
-            self.stats
-                .footprints
-                .push((self.read_lines.len() as u32, self.write_lines.len() as u32));
-        }
         self.epoch_bump(); // even again: the section's writes are published
         self.state = BlockState::Idle;
     }
@@ -1255,9 +1224,6 @@ impl TxnEngine {
     fn irrevocable_load_words(&mut self, addr: WordAddr, out: &mut [u64]) {
         self.clock.tick(self.machine.config().cost.load * out.len() as u64);
         for (value, addr) in out.iter_mut().zip(run_from(addr)) {
-            if self.trace_footprints {
-                self.read_lines.insert(self.mem.line_of(addr));
-            }
             *value = self.mem.nontx_load(Some(self.slot), addr);
             if let Some(c) = &mut self.cert {
                 c.get_mut().on_irr_read(addr, *value);
@@ -1461,9 +1427,6 @@ impl TxnEngine {
             }
             BlockState::Irrevocable => {
                 self.clock.tick(cost.store);
-                if self.trace_footprints {
-                    self.write_lines.insert(self.mem.line_of(addr));
-                }
                 self.mem.nontx_store(Some(self.slot), addr, value);
                 if let Some(c) = &mut self.cert {
                     c.get_mut().on_irr_write(addr, value);
@@ -1877,7 +1840,6 @@ mod tests {
             ConflictPolicy::RequesterWins,
             42,
             false,
-            false,
             None,
         )
     }
@@ -1982,7 +1944,6 @@ mod tests {
             ConflictPolicy::RequesterWins,
             1,
             false,
-            false,
             None,
         );
         let mut e1 = TxnEngine::new(
@@ -1994,7 +1955,6 @@ mod tests {
             ExecMode::Hardware,
             ConflictPolicy::RequesterWins,
             2,
-            false,
             false,
             None,
         );
@@ -2064,7 +2024,6 @@ mod tests {
                 ExecMode::Hardware,
                 ConflictPolicy::RequesterWins,
                 7,
-                false,
                 false,
                 None,
             )
@@ -2170,7 +2129,7 @@ mod tests {
         e.begin_hw(false, false);
         e.load(WordAddr(0)).unwrap();
         e.load(WordAddr(16)).unwrap();
-        assert_eq!(e.read_lines.len(), 2);
+        assert_eq!(e.read_lines.iter().count(), 2);
         e.commit_hw().unwrap();
     }
 
@@ -2189,7 +2148,6 @@ mod tests {
             ExecMode::Hardware,
             ConflictPolicy::RequesterWins,
             42,
-            false,
             false,
             faults,
         )
@@ -2456,7 +2414,6 @@ mod tests {
     struct RunCase {
         name: &'static str,
         mode: ExecMode,
-        trace_footprints: bool,
         faults: crate::faults::FaultPlan,
         /// Worker 0 of two, paced, sharing its core with a second worker
         /// (so every charge is scaled by the SMT slowdown).
@@ -2471,7 +2428,6 @@ mod tests {
             RunCase {
                 name,
                 mode: ExecMode::Hardware,
-                trace_footprints: false,
                 faults: crate::faults::FaultPlan::none(),
                 paced: false,
                 prelude,
@@ -2504,7 +2460,6 @@ mod tests {
                 self.mode,
                 ConflictPolicy::RequesterWins,
                 42,
-                self.trace_footprints,
                 self.paced,
                 FaultState::new(&self.faults, 0),
             );
@@ -2565,11 +2520,7 @@ mod tests {
                 mode: ExecMode::Sequential,
                 ..RunCase::new("sequential", |e| e.begin_sequential(), 100, 300)
             },
-            RunCase {
-                trace_footprints: true,
-                ..RunCase::new("irrevocable", |e| e.begin_irrevocable(), 100, 300)
-            },
-            RunCase::new("irrevocable, untraced", |e| e.begin_irrevocable(), 100, 300),
+            RunCase::new("irrevocable", |e| e.begin_irrevocable(), 100, 300),
             RunCase::new("hardware", |e| e.begin_hw(false, false), 100, 300),
             RunCase::new("hardware, doomed", doom, 100, 3),
             RunCase::new("hardware, doomed, empty", doom, 100, 0),
@@ -2670,7 +2621,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 2 * (12 * 4 + 4 + 1));
+        assert_eq!(checked, 2 * (11 * 4 + 4 + 1));
 
         // The cases reach the paths they are named for.
         let outcome = |p, name| {
@@ -2690,8 +2641,7 @@ mod tests {
         assert_eq!(spill.spilled_lines.len(), 300 / 16 + 1);
         assert_eq!(outcome(Platform::Power8, "rollback-only").tracker, (0, 0));
         assert_eq!(outcome(Platform::Power8, "suspended").read_lines, [LineId(0)]);
-        assert_eq!(outcome(Platform::IntelCore, "irrevocable").read_lines.len(), 300 / 8 + 1);
-        assert!(outcome(Platform::IntelCore, "irrevocable, untraced").read_lines.is_empty());
+        assert!(outcome(Platform::IntelCore, "irrevocable").read_lines.is_empty());
         let stored = outcome(Platform::Zec12, "hardware, lines with and without stores");
         assert_eq!([stored.values[13], stored.values[70], stored.values[143]], [11, 12, 13]);
         assert_eq!(stored.values[14], 3 * 204 + 1);

@@ -279,9 +279,15 @@ impl Workload for Labyrinth {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut ctx = sim.seq_ctx();
         let grid = ctx.alloc(cfg.cells());
+        // A fresh allocation already reads FREE (0), so only the walls are
+        // written; every cell still takes its draw, which keeps the
+        // endpoint picks below on the same random stream.
         for i in 0..cfg.cells() {
-            let v = if rng.gen_range(0..100) < cfg.wall_pct { WALL } else { FREE };
-            sim.write_word(grid.offset(i), v);
+            if rng.gen_range(0..100) < cfg.wall_pct {
+                sim.write_word(grid.offset(i), WALL);
+            } else {
+                debug_assert_eq!(sim.read_word(grid.offset(i)), FREE, "fresh grid word {i}");
+            }
         }
         // Distinct free endpoints for every request.
         let mut taken = std::collections::HashSet::new();
