@@ -1,11 +1,14 @@
 //! Online opacity/conflict-serializability certifier.
 //!
-//! When [`SimConfig::certify`](crate::SimConfig) is enabled, every worker
-//! engine records one [`TxEvent`] per committed atomic block: the *first*
-//! value the block observed at each address it read (excluding reads served
-//! from its own write buffer) and the final value it flushed per address,
+//! When [`SimConfig::certify`](crate::SimConfig) is enabled, each worker's
+//! observer (the transaction engine's one instrumentation slot) holds a
+//! `CertCapture` that records one [`TxEvent`] per committed atomic block:
+//! the *first* value the block observed at each address it read (excluding
+//! reads of its own stores) and the final value it wrote per address,
 //! stamped with a sequence number drawn from a shared commit clock at the
-//! block's linearization point:
+//! block's linearization point. The observer decides which loads are
+//! reads: a plain POWER8 rollback-only transaction's loads and every
+//! non-transactional load are not.
 //!
 //! * hardware transactions draw their seq right after `start_commit`
 //!   succeeds — the slot is `COMMITTING` and still holds all its lines, and
@@ -53,7 +56,9 @@ pub(crate) const MAX_EVENTS_PER_THREAD: usize = 1 << 16;
 /// Per-event bound on captured reads/writes.
 pub(crate) const MAX_ACCESSES_PER_EVENT: usize = 1 << 16;
 
-/// Per-engine capture state for one worker thread.
+/// The certifier's capture for one worker thread: the events of its
+/// committed blocks and the reads of its aborted attempts. Its observer
+/// decides which accesses reach it.
 #[derive(Debug)]
 pub(crate) struct CertCapture {
     thread: u32,
@@ -61,7 +66,7 @@ pub(crate) struct CertCapture {
     truncated: bool,
     reads: Vec<(WordAddr, u64)>,
     read_addrs: FastSet<WordAddr>,
-    irr_writes: FastMap<WordAddr, u64>,
+    writes: FastMap<WordAddr, u64>,
     aborted: Vec<AbortedAttempt>,
 }
 
@@ -73,21 +78,22 @@ impl CertCapture {
             truncated: false,
             reads: Vec::new(),
             read_addrs: FastSet::default(),
-            irr_writes: FastMap::default(),
+            writes: FastMap::default(),
             aborted: Vec::new(),
         }
     }
 
-    /// Resets the current-block capture state (block begin).
-    pub(crate) fn begin_block(&mut self) {
+    /// A block begins: its reads and writes start empty.
+    pub(crate) fn begin(&mut self) {
         self.reads.clear();
         self.read_addrs.clear();
-        self.irr_writes.clear();
+        self.writes.clear();
     }
 
-    /// Records the first value a hardware transaction observed at `addr`.
-    pub(crate) fn on_read(&mut self, addr: WordAddr, value: u64) {
-        if self.read_addrs.insert(addr) {
+    /// Records the first value the block observed at `addr`; a load of the
+    /// block's own store is not pre-state.
+    pub(crate) fn load(&mut self, addr: WordAddr, value: u64) {
+        if !self.writes.contains_key(&addr) && self.read_addrs.insert(addr) {
             if self.reads.len() < MAX_ACCESSES_PER_EVENT {
                 self.reads.push((addr, value));
             } else {
@@ -96,99 +102,68 @@ impl CertCapture {
         }
     }
 
-    /// Records the first value an irrevocable block observed at `addr`
-    /// (reads of the block's own earlier stores are not pre-state).
-    pub(crate) fn on_irr_read(&mut self, addr: WordAddr, value: u64) {
-        if !self.irr_writes.contains_key(&addr) {
-            self.on_read(addr, value);
-        }
+    /// Records an irrevocable block's store (the last value per address
+    /// wins); a transaction's stores are in the buffers its commit passes.
+    pub(crate) fn store(&mut self, addr: WordAddr, value: u64) {
+        self.writes.insert(addr, value);
     }
 
-    /// Records an irrevocable store (the last value per address wins).
-    pub(crate) fn on_irr_write(&mut self, addr: WordAddr, value: u64) {
-        if self.irr_writes.len() >= MAX_ACCESSES_PER_EVENT && !self.irr_writes.contains_key(&addr) {
-            self.truncated = true;
-            return;
-        }
-        self.irr_writes.insert(addr, value);
-    }
-
-    fn push_event(&mut self, kind: EventKind, seq: u64, writes: Vec<(WordAddr, u64)>) {
-        if self.events.len() >= MAX_EVENTS_PER_THREAD {
-            self.truncated = true;
-            return;
-        }
+    /// The block's reads in address order; none are left.
+    fn take_reads(&mut self) -> Vec<(WordAddr, u64)> {
         let mut reads = std::mem::take(&mut self.reads);
         reads.sort_unstable_by_key(|&(a, _)| a);
-        self.events.push(TxEvent { thread: self.thread, seq, kind, reads, writes });
+        reads
     }
 
-    /// Emits the event for a committed hardware transaction. `write_buf` is
-    /// the buffered store set about to be flushed.
-    pub(crate) fn commit_hw(&mut self, seq: u64, rot: bool, write_buf: &FastMap<WordAddr, u64>) {
-        let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
-        writes.sort_unstable_by_key(|&(a, _)| a);
+    fn push_event(&mut self, event: TxEvent) {
+        if self.events.len() < MAX_EVENTS_PER_THREAD {
+            self.events.push(event);
+        } else {
+            self.truncated = true;
+        }
+    }
+
+    /// Emits the event of the block that committed at `seq`, its
+    /// linearization point (see the module docs). `buffer` and `spilled`
+    /// are a transaction's write buffer and its spilled stores; a spilled
+    /// store shadows a buffered one to the same address.
+    pub(crate) fn commit(
+        &mut self,
+        seq: u64,
+        kind: EventKind,
+        [buffer, spilled]: [&FastMap<WordAddr, u64>; 2],
+    ) {
+        let buffered = spilled.iter().chain(buffer).map(|(&a, &v)| (a, v));
+        let mut writes: Vec<(WordAddr, u64)> = self.writes.drain().chain(buffered).collect();
+        writes.sort_by_key(|&(a, _)| a); // stable: the first of equal addresses wins
+        writes.dedup_by_key(|&mut (a, _)| a);
         if writes.len() > MAX_ACCESSES_PER_EVENT {
             writes.truncate(MAX_ACCESSES_PER_EVENT);
             self.truncated = true;
         }
-        self.push_event(EventKind::Hardware { rot }, seq, writes);
-    }
-
-    /// Emits the event for a committed software transaction or a
-    /// software-validated ROT-tier transaction. The committer holds the
-    /// sequence lock at `seq`, its read log just revalidated, so the full
-    /// read check applies ([`EventKind::Software`]).
-    pub(crate) fn commit_soft(&mut self, seq: u64, write_buf: &FastMap<WordAddr, u64>) {
-        let mut writes: Vec<(WordAddr, u64)> = write_buf.iter().map(|(&a, &v)| (a, v)).collect();
-        writes.sort_unstable_by_key(|&(a, _)| a);
-        if writes.len() > MAX_ACCESSES_PER_EVENT {
-            writes.truncate(MAX_ACCESSES_PER_EVENT);
-            self.truncated = true;
-        }
-        self.push_event(EventKind::Software, seq, writes);
-    }
-
-    /// Emits the event for a completed irrevocable block (the caller still
-    /// holds the global lock, so `seq` is its linearization point).
-    pub(crate) fn commit_irrevocable(&mut self, seq: u64) {
-        let mut writes: Vec<(WordAddr, u64)> = self.irr_writes.drain().collect();
-        writes.sort_unstable_by_key(|&(a, _)| a);
-        self.push_event(EventKind::Irrevocable, seq, writes);
+        let reads = self.take_reads();
+        self.push_event(TxEvent { thread: self.thread, seq, kind, reads, writes });
     }
 
     /// Emits a single-store event for a non-transactional write.
     pub(crate) fn nontx_write(&mut self, seq: u64, addr: WordAddr, value: u64) {
-        if self.events.len() >= MAX_EVENTS_PER_THREAD {
-            self.truncated = true;
-            return;
-        }
-        self.events.push(TxEvent {
-            thread: self.thread,
-            seq,
-            kind: EventKind::NonTx,
-            reads: Vec::new(),
-            writes: vec![(addr, value)],
-        });
+        let (thread, kind, writes) = (self.thread, EventKind::NonTx, vec![(addr, value)]);
+        self.push_event(TxEvent { thread, seq, kind, reads: Vec::new(), writes });
     }
 
-    /// Flushes the current attempt's captured reads as an [`AbortedAttempt`]
-    /// for the opacity check (rollback paths call this instead of a
-    /// `commit_*`), then clears the per-attempt state so retries start
-    /// clean.
-    pub(crate) fn abort_attempt(&mut self, kind: EventKind) {
+    /// The attempt aborted: its captured reads become an
+    /// [`AbortedAttempt`] for the opacity check, and its state clears so a
+    /// retry starts clean.
+    pub(crate) fn abort(&mut self, kind: EventKind) {
         if !self.reads.is_empty() {
             if self.aborted.len() < MAX_EVENTS_PER_THREAD {
-                let mut reads = std::mem::take(&mut self.reads);
-                reads.sort_unstable_by_key(|&(a, _)| a);
+                let reads = self.take_reads();
                 self.aborted.push(AbortedAttempt { thread: self.thread, kind, reads });
             } else {
                 self.truncated = true;
             }
         }
-        self.reads.clear();
-        self.read_addrs.clear();
-        self.irr_writes.clear();
+        self.begin();
     }
 
     /// Returns the recorded events, the aborted attempts, and whether any
@@ -299,8 +274,12 @@ pub fn certify(mut events: Vec<TxEvent>, truncated: bool, lock_acquisitions: u64
         }
     }
 
+    // Successors in sorted order: the edge set iterates in a random order,
+    // and the cycle witness must not depend on it.
+    let mut sorted: Vec<(usize, usize)> = edges.iter().copied().collect();
+    sorted.sort_unstable();
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &edges {
+    for (a, b) in sorted {
         adj[a].push(b);
     }
     if let Some(cycle) = find_cycle(n, &adj) {
@@ -391,6 +370,32 @@ mod tests {
     }
 
     #[test]
+    fn a_two_cycle_history_has_one_witness() {
+        // Seq 1 writes both words; seqs 2 and 3 each read one of them
+        // stale, closing two cycles through seq 1. The depth-first search
+        // must take the same one every time, whatever the edge set's
+        // hasher seed.
+        let events = || {
+            vec![
+                ev(0, 1, &[(8, 0), (16, 0)], &[(8, 1), (16, 1)]),
+                ev(1, 2, &[(8, 0)], &[(8, 2)]),
+                ev(2, 3, &[(16, 0)], &[(16, 2)]),
+            ]
+        };
+        let witnesses: HashSet<Vec<u64>> = (0..32)
+            .map(|_| {
+                let r = certify(events(), false, 0);
+                let cycle = r.violations.iter().find_map(|v| match v {
+                    Violation::ConflictCycle { witness } => Some(witness.clone()),
+                    _ => None,
+                });
+                cycle.expect("the history has cycles")
+            })
+            .collect();
+        assert_eq!(witnesses, HashSet::from([vec![1, 2, 1]]));
+    }
+
+    #[test]
     fn stale_read_of_an_older_written_version_names_the_writer() {
         let events =
             vec![ev(0, 1, &[], &[(8, 7)]), ev(1, 2, &[], &[(8, 9)]), ev(0, 3, &[(8, 7)], &[])];
@@ -435,12 +440,12 @@ mod tests {
     #[test]
     fn capture_emits_software_events_with_sorted_writes() {
         let mut c = CertCapture::new(1);
-        c.begin_block();
-        c.on_read(WordAddr(9), 3);
+        c.begin();
+        c.load(WordAddr(9), 3);
         let mut buf = FastMap::default();
         buf.insert(WordAddr(5), 50);
         buf.insert(WordAddr(2), 20);
-        c.commit_soft(7, &buf);
+        c.commit(7, EventKind::Software, [&buf, &FastMap::default()]);
         let (events, _aborted, truncated) = c.take();
         assert!(!truncated);
         assert_eq!(events.len(), 1);
@@ -453,13 +458,13 @@ mod tests {
     #[test]
     fn capture_dedupes_first_reads_and_excludes_own_irrevocable_writes() {
         let mut c = CertCapture::new(3);
-        c.begin_block();
-        c.on_read(WordAddr(1), 10);
-        c.on_read(WordAddr(1), 11); // repeat: ignored
-        c.on_irr_write(WordAddr(2), 5);
-        c.on_irr_read(WordAddr(2), 5); // own write: not pre-state
-        c.on_irr_read(WordAddr(3), 7);
-        c.commit_irrevocable(4);
+        c.begin();
+        c.load(WordAddr(1), 10);
+        c.load(WordAddr(1), 11); // repeat: ignored
+        c.store(WordAddr(2), 5);
+        c.load(WordAddr(2), 5); // own write: not pre-state
+        c.load(WordAddr(3), 7);
+        c.commit(4, EventKind::Irrevocable, [&FastMap::default(), &FastMap::default()]);
         let (events, _aborted, truncated) = c.take();
         assert!(!truncated);
         assert_eq!(events.len(), 1);

@@ -29,6 +29,7 @@ use htm_hytm::{FallbackPolicy, ROT_RETRIES, STM_COMMIT_RETRIES};
 use htm_machine::{BgqMode, Machine, Platform};
 
 use crate::lock::GlobalLock;
+use crate::observe::AccessKind;
 use crate::replay::{AttemptRecord, BlockRecord, TxPath};
 use crate::stats::ThreadStats;
 use crate::tx::{ExecMode, Tx, TxnEngine};
@@ -225,9 +226,6 @@ pub struct ThreadCtx {
     recorder: Option<Recorder>,
     /// Trace being replayed (replay mode only).
     replayer: Option<Replayer>,
-    /// The global lock's vector clock (sanitizer runs only): irrevocable
-    /// sections on the same lock are release/acquire-ordered.
-    lock_sync: Option<Arc<SyncClock>>,
     /// The `htm-adapt` contention manager (present only under
     /// [`FallbackPolicy::Adaptive`]).
     adapt: Option<AdaptiveController>,
@@ -264,17 +262,9 @@ impl ThreadCtx {
             trip_shift: 0,
             recorder: None,
             replayer: None,
-            lock_sync: None,
             adapt,
             adapt_switches_seen: 0,
         }
-    }
-
-    /// Turns on the happens-before race sanitizer for this thread.
-    /// `lock_sync` is the run-wide vector clock of the global lock.
-    pub(crate) fn enable_sanitize(&mut self, lock_sync: Arc<SyncClock>) {
-        self.eng.enable_sanitize();
-        self.lock_sync = Some(lock_sync);
     }
 
     /// Starts recording this thread's atomic-block decision stream.
@@ -432,16 +422,16 @@ impl ThreadCtx {
     /// Non-transactional load outside atomic blocks (charges one access).
     pub fn read_word(&self, addr: WordAddr) -> u64 {
         self.eng.charge(self.eng.machine().config().cost.load);
-        self.eng.hb_nontx_access(addr, false);
-        self.eng.mem().nontx_load(None, addr)
+        let value = self.eng.mem().nontx_load(None, addr);
+        self.eng.observe(|o| o.load(AccessKind::NonTx, addr, value));
+        value
     }
 
     /// Non-transactional store outside atomic blocks.
     pub fn write_word(&self, addr: WordAddr, value: u64) {
         self.eng.charge(self.eng.machine().config().cost.store);
         self.eng.mem().nontx_store(None, addr, value);
-        self.eng.cert_nontx_write(addr, value);
-        self.eng.hb_nontx_access(addr, true);
+        self.eng.observe(|o| o.store(AccessKind::NonTx, addr, value));
     }
 
     /// Non-transactional CAS outside atomic blocks (lock-free baselines).
@@ -452,11 +442,11 @@ impl ThreadCtx {
     pub fn cas_word(&self, addr: WordAddr, expected: u64, new: u64) -> Result<u64, u64> {
         self.eng.clock().tick(self.eng.machine().config().cost.lock_op);
         let r = self.eng.mem().nontx_cas(None, addr, expected, new);
-        if r.is_ok() {
-            self.eng.cert_nontx_write(addr, new);
-        }
-        // A CAS is a write when it succeeds, and still a read when it fails.
-        self.eng.hb_nontx_access(addr, r.is_ok());
+        // A CAS is a store when it succeeds, and still a load when it fails.
+        self.eng.observe(|o| match r {
+            Ok(_) => o.store(AccessKind::NonTx, addr, new),
+            Err(seen) => o.load(AccessKind::NonTx, addr, seen),
+        });
         r
     }
 
@@ -485,13 +475,13 @@ impl ThreadCtx {
     /// primitives — phase barriers, ad-hoc flags — call this *before* the
     /// host-side wait/publish.
     pub fn hb_release(&self, sync: &SyncClock) {
-        self.eng.hb_release(sync);
+        self.eng.observe(|o| o.release(Some(sync)));
     }
 
     /// Acquire edge on `sync` for the race sanitizer (no-op when the
     /// sanitizer is off); call *after* the host-side wait.
     pub fn hb_acquire(&self, sync: &SyncClock) {
-        self.eng.hb_acquire(sync);
+        self.eng.observe(|o| o.acquire(Some(sync)));
     }
 
     /// Deterministic per-thread random-number generator.
@@ -712,7 +702,7 @@ impl ThreadCtx {
                 }
             }
             Err(abort) => {
-                self.eng.rollback();
+                self.eng.rollback(abort.cause);
                 Outcome::Aborted(abort.cause)
             }
         }
@@ -746,9 +736,7 @@ impl ThreadCtx {
         let tag = self.thread_id() as u64 + 1;
         let waited = self.lock.acquire(self.eng.mem(), tag, self.eng.clock(), &cost);
         self.eng.stats.lock_wait_cycles += waited;
-        if let Some(sync) = &self.lock_sync {
-            self.eng.hb_acquire(sync);
-        }
+        self.eng.observe(|o| o.acquire(None));
         waited
     }
 
@@ -758,9 +746,7 @@ impl ThreadCtx {
         if convoy {
             self.eng.clock().tick(self.eng.fault_lock_release_delay());
         }
-        if let Some(sync) = &self.lock_sync {
-            self.eng.hb_release(sync);
-        }
+        self.eng.observe(|o| o.release(None));
         let cost = self.eng.machine().config().cost;
         self.lock.release(self.eng.mem(), self.eng.clock(), &cost);
     }
@@ -828,7 +814,6 @@ impl ThreadCtx {
             AbortCategory::Other
         };
         self.eng.stats.record_abort(category);
-        self.eng.record_conflict_blame(cause);
         (category, lock_related)
     }
 
@@ -1286,7 +1271,7 @@ impl ThreadCtx {
                 }
             },
             Err(abort) => {
-                self.eng.rollback_hw();
+                self.eng.rollback(abort.cause);
                 self.classify_and_record(abort.cause, false);
                 None
             }
@@ -1322,7 +1307,7 @@ impl ThreadCtx {
                 }
             },
             Err(abort) => {
-                self.eng.rollback_hw();
+                self.eng.rollback(abort.cause);
                 self.classify_and_record(abort.cause, false);
                 Err(abort)
             }

@@ -6,13 +6,14 @@
 //! speed-up baseline) and once with N workers under the retry mechanism;
 //! speed-up = sequential cycles / max worker cycles.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htm_core::{
-    check_opacity, detect_races, panic_message, AbortedAttempt, ConflictPolicy, Geometry, Segment,
-    SimAlloc, SimError, SimResult, SyncClock, ThreadAlloc, TxEvent, TxMemory, WordAddr,
+    panic_message, ConflictPolicy, Geometry, SimAlloc, SimError, SimResult, ThreadAlloc, TxMemory,
+    WordAddr,
 };
 use htm_hytm::FallbackPolicy;
 use htm_machine::{Machine, MachineConfig};
@@ -20,6 +21,7 @@ use htm_machine::{Machine, MachineConfig};
 use crate::ctx::{Arbiter, RetryPolicy, ThreadCtx, WatchdogConfig};
 use crate::faults::{FaultPlan, FaultState};
 use crate::lock::GlobalLock;
+use crate::observe::{self, Observer};
 use crate::replay::{BlockRecord, ScheduleTrace};
 use crate::sched::{Policy, RoundRobin, Scheduler};
 use crate::stats::{RunStats, ThreadStats};
@@ -153,8 +155,7 @@ enum RunMode<'t> {
 /// What one worker thread hands back to the executor.
 struct WorkerOut {
     stats: ThreadStats,
-    cert: Option<(Vec<TxEvent>, Vec<AbortedAttempt>, bool)>,
-    hb: Option<(Vec<Segment>, bool)>,
+    observer: Option<Box<RefCell<Observer>>>,
     recording: Vec<BlockRecord>,
     replay_leftover: usize,
 }
@@ -173,8 +174,7 @@ where
     let tid = ctx.thread_id();
     let result = match catch_unwind(AssertUnwindSafe(|| work(&mut ctx))) {
         Ok(()) => Ok(WorkerOut {
-            cert: ctx.engine_mut().take_cert(),
-            hb: ctx.engine_mut().take_hb(),
+            observer: ctx.engine_mut().observer.take(),
             recording: ctx.take_recording(),
             replay_leftover: ctx.replay_leftover(),
             stats: ctx.take_stats(),
@@ -364,7 +364,7 @@ impl Sim {
     /// line granularities (the Figure 10/11 trace tool).
     pub fn seq_ctx_traced(&self, granularities: &[u32]) -> ThreadCtx {
         let mut ctx = self.seq_ctx();
-        ctx.engine_mut().tracer = Some(SeqTracer::new(granularities));
+        ctx.engine_mut().observer = Some(Observer::tracing(granularities, false));
         ctx
     }
 
@@ -373,7 +373,7 @@ impl Sim {
     /// capacity prediction.
     pub fn seq_ctx_traced_sets(&self, granularities: &[u32]) -> ThreadCtx {
         let mut ctx = self.seq_ctx();
-        ctx.engine_mut().tracer = Some(SeqTracer::new(granularities).keep_line_sets());
+        ctx.engine_mut().observer = Some(Observer::tracing(granularities, true));
         ctx
     }
 
@@ -383,7 +383,8 @@ impl Sim {
     ///
     /// Panics if `ctx` was not created with [`Sim::seq_ctx_traced`].
     pub fn take_tracer(&self, ctx: &mut ThreadCtx) -> SeqTracer {
-        ctx.engine_mut().tracer.take().expect("context has no tracer")
+        let observer = ctx.engine_mut().observer.take();
+        observer.and_then(|o| o.into_inner().into_tracer()).expect("context has no tracer")
     }
 
     /// FNV-1a digest of the simulated memory (cheap cross-run equality
@@ -584,9 +585,7 @@ impl Sim {
         // default configuration neither is active and the engines keep their
         // zero-overhead path.
         let commit_clock = (self.cfg.certify || record).then(|| Arc::new(AtomicU64::new(1)));
-        // One vector clock for the global fallback lock (sanitizer runs
-        // only): irrevocable sections release/acquire through it.
-        let lock_sync = self.cfg.sanitize.then(|| Arc::new(SyncClock::new()));
+        let mut observers = observe::for_run(&self.cfg, commit_clock.as_ref(), num_threads);
         // One hybrid epoch (a sequence lock over in-place write-backs) per
         // run, shared by every engine, created only when a software fallback
         // tier can run: with the default lock fallback the epoch stays
@@ -603,12 +602,7 @@ impl Sim {
                 if let Some(epoch) = &hybrid_epoch {
                     ctx.engine_mut().set_hybrid_epoch(Arc::clone(epoch));
                 }
-                if self.cfg.certify {
-                    ctx.engine_mut().enable_certify();
-                }
-                if let Some(sync) = &lock_sync {
-                    ctx.enable_sanitize(Arc::clone(sync));
-                }
+                ctx.engine_mut().observer = observers.next().flatten();
                 match mode {
                     RunMode::Normal => {}
                     RunMode::Record => ctx.enable_recording(),
@@ -661,34 +655,14 @@ impl Sim {
         }
         let mut threads = Vec::with_capacity(outs.len());
         let mut per_thread = Vec::with_capacity(outs.len());
-        let mut events: Vec<TxEvent> = Vec::new();
-        let mut aborted: Vec<AbortedAttempt> = Vec::new();
-        let mut truncated = false;
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut hb_truncated = false;
+        let mut observers = Vec::with_capacity(outs.len());
         for o in outs {
             threads.push(o.stats);
             per_thread.push(o.recording);
-            if let Some((ev, ab, tr)) = o.cert {
-                events.extend(ev);
-                aborted.extend(ab);
-                truncated |= tr;
-            }
-            if let Some((segs, tr)) = o.hb {
-                segments.extend(segs);
-                hb_truncated |= tr;
-            }
+            observers.push(o.observer);
         }
         let mut stats = RunStats::new(threads);
-        if self.cfg.certify {
-            stats.opacity =
-                Some(check_opacity(&events, &aborted, &self.cfg.certify_init, truncated));
-            stats.certify =
-                Some(crate::certify::certify(events, truncated, self.lock.acquisitions(&self.mem)));
-        }
-        if self.cfg.sanitize {
-            stats.race = Some(detect_races(segments, hb_truncated));
-        }
+        observe::report(&mut stats, observers, &self.cfg, self.lock.acquisitions(&self.mem));
         let trace = record.then(|| ScheduleTrace::assemble(self.cfg.seed, per_thread));
         Ok((stats, trace))
     }

@@ -25,6 +25,10 @@
 //!   runs the workers as fibers,
 //! * [`stats`] — speed-ups, abort-ratio breakdowns (Figure 3),
 //!   serialization ratios,
+//! * `observe` — the engine's one instrumentation slot: every access,
+//!   block boundary and synchronization edge is one call into an observer
+//!   holding whichever of the certifier's capture, the race sanitizer's
+//!   capture and the footprint tracer are on (none: one branch per site),
 //! * [`trace`] — the footprint tracer behind Figures 10 and 11,
 //! * [`certify`](mod@certify) — the runtime correctness certifier:
 //!   committed atomic blocks log their read/write sets and commit order,
@@ -48,6 +52,11 @@
 //!   (`SimConfig::sanitize`): per-thread vector-clocked access capture,
 //!   checked post-run by [`htm_core::detect_races`] into a
 //!   [`RaceReport`](htm_core::RaceReport) on [`RunStats`].
+//!
+//! The certifier, the sanitizer and the tracer are captures the observer
+//! carries, not engine paths of their own: what each keeps of an access
+//! depends only on the access's kind (hardware, rollback-only load,
+//! software, irrevocable, non-transactional, sequential).
 //!
 //! ## Example: a transactional counter on every platform
 //!
@@ -84,6 +93,7 @@ pub mod faults;
 pub mod fiber;
 mod line_set;
 pub mod lock;
+mod observe;
 pub mod replay;
 pub mod sanitize;
 pub mod sched;

@@ -1,10 +1,13 @@
 //! Per-thread capture for the happens-before race sanitizer
 //! ([`SimConfig::sanitize`](crate::SimConfig)).
 //!
-//! An `HbCapture` lives inside each worker's transaction engine and
-//! mirrors the certifier's capture discipline: transactional accesses
-//! accumulate in a per-attempt buffer that is folded into the record only
-//! when the attempt commits (aborted attempts never happened), while
+//! An `HbCapture` lives in each worker's observer (the transaction
+//! engine's one instrumentation slot), which holds the global lock's
+//! [`SyncClock`] and the conflict-blame log beside it. It mirrors the
+//! certifier's capture discipline through one entry point,
+//! `HbCapture::access`: a transaction's accesses accumulate in a
+//! per-attempt buffer that is folded into the record only when the attempt
+//! commits (aborted attempts never happened), while irrevocable and
 //! non-transactional accesses (plain `read_word`/`write_word`, POWER8
 //! suspended-mode accesses) are recorded immediately. Synchronization
 //! operations — global-lock hand-offs and phase barriers — close the
@@ -16,6 +19,8 @@
 use std::collections::HashSet;
 
 use htm_core::{Access, Segment, SyncClock, VectorClock, WordAddr};
+
+use crate::observe::AccessKind;
 
 /// Bound on segments kept per thread; beyond this the capture reports
 /// itself truncated and stops recording.
@@ -32,8 +37,8 @@ pub(crate) struct HbCapture {
     segments: Vec<Segment>,
     cur: Vec<Access>,
     cur_set: HashSet<Access>,
-    attempt: Vec<(WordAddr, bool)>,
-    attempt_set: HashSet<(WordAddr, bool)>,
+    attempt: Vec<Access>,
+    attempt_set: HashSet<Access>,
     truncated: bool,
 }
 
@@ -56,58 +61,47 @@ impl HbCapture {
         }
     }
 
-    fn record(&mut self, addr: WordAddr, write: bool, tx: bool) {
+    fn record(&mut self, a: Access) {
         if self.cur.len() >= MAX_ACCESSES_PER_SEGMENT {
             self.truncated = true;
             return;
         }
-        let a = Access { addr, write, tx };
         if self.cur_set.insert(a) {
             self.cur.push(a);
         }
     }
 
-    /// Non-transactional read (plain `read_word`, suspended-mode load).
-    pub(crate) fn nontx_read(&mut self, addr: WordAddr) {
-        self.record(addr, false, false);
-    }
-
-    /// Non-transactional write (plain `write_word`/`cas_word`,
-    /// suspended-mode store).
-    pub(crate) fn nontx_write(&mut self, addr: WordAddr) {
-        self.record(addr, true, false);
-    }
-
-    /// Access inside the current hardware-transaction attempt; buffered
-    /// until [`HbCapture::commit_tx`] since aborted attempts roll back.
-    pub(crate) fn tx_access(&mut self, addr: WordAddr, write: bool) {
-        if self.attempt.len() >= MAX_ACCESSES_PER_SEGMENT {
-            self.truncated = true;
-            return;
-        }
-        if self.attempt_set.insert((addr, write)) {
-            self.attempt.push((addr, write));
+    /// Records an access of `kind`. A transaction's accesses wait in its
+    /// attempt, which [`HbCapture::commit`] folds into the segment and
+    /// [`HbCapture::abort`] drops (aborted attempts never happened);
+    /// irrevocable and non-transactional ones are final at once.
+    pub(crate) fn access(&mut self, kind: AccessKind, addr: WordAddr, write: bool) {
+        let a = Access { addr, write, tx: kind != AccessKind::NonTx };
+        match kind {
+            AccessKind::Irrevocable | AccessKind::NonTx => self.record(a),
+            AccessKind::Sequential => {}
+            AccessKind::Hardware | AccessKind::RollbackOnly | AccessKind::Software => {
+                if self.attempt.len() >= MAX_ACCESSES_PER_SEGMENT {
+                    self.truncated = true;
+                } else if self.attempt_set.insert(a) {
+                    self.attempt.push(a);
+                }
+            }
         }
     }
 
-    /// Access inside an irrevocable block: transactional-side, and final
-    /// immediately (irrevocable blocks cannot roll back).
-    pub(crate) fn irr_access(&mut self, addr: WordAddr, write: bool) {
-        self.record(addr, write, true);
-    }
-
-    /// The current attempt committed: its accesses become transactional
-    /// accesses of the current segment.
-    pub(crate) fn commit_tx(&mut self) {
+    /// The attempt committed: its accesses become transactional accesses of
+    /// the current segment.
+    pub(crate) fn commit(&mut self) {
         let attempt = std::mem::take(&mut self.attempt);
         self.attempt_set.clear();
-        for (addr, write) in attempt {
-            self.record(addr, write, true);
+        for a in attempt {
+            self.record(a);
         }
     }
 
-    /// The current attempt aborted: discard its accesses.
-    pub(crate) fn rollback_tx(&mut self) {
+    /// The attempt aborted: discard its accesses.
+    pub(crate) fn abort(&mut self) {
         self.attempt.clear();
         self.attempt_set.clear();
     }
@@ -167,8 +161,8 @@ mod tests {
     #[test]
     fn committed_attempt_is_tx_side() {
         let mut c = HbCapture::new(0);
-        c.tx_access(WordAddr(1), true);
-        c.commit_tx();
+        c.access(AccessKind::Hardware, WordAddr(1), true);
+        c.commit();
         let (segs, trunc) = c.take();
         assert!(!trunc);
         assert_eq!(segs.len(), 1);
@@ -178,9 +172,9 @@ mod tests {
     #[test]
     fn aborted_attempt_is_discarded() {
         let mut c = HbCapture::new(0);
-        c.tx_access(WordAddr(1), true);
-        c.rollback_tx();
-        c.nontx_read(WordAddr(2));
+        c.access(AccessKind::Hardware, WordAddr(1), true);
+        c.abort();
+        c.access(AccessKind::NonTx, WordAddr(2), false);
         let (segs, _) = c.take();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].accesses, vec![Access { addr: WordAddr(2), write: false, tx: false }]);
@@ -193,10 +187,10 @@ mod tests {
         let mut t1 = HbCapture::new(1);
         // Thread 0 writes, then releases; thread 1 acquires, then writes:
         // an ordered pair, no race.
-        t0.nontx_write(WordAddr(9));
+        t0.access(AccessKind::NonTx, WordAddr(9), true);
         t0.release(&sync);
         t1.acquire(&sync);
-        t1.nontx_write(WordAddr(9));
+        t1.access(AccessKind::NonTx, WordAddr(9), true);
         let (mut segs, _) = t0.take();
         let (s1, _) = t1.take();
         segs.extend(s1);
@@ -208,8 +202,8 @@ mod tests {
     fn unsynchronized_writes_race() {
         let mut t0 = HbCapture::new(0);
         let mut t1 = HbCapture::new(1);
-        t0.nontx_write(WordAddr(9));
-        t1.nontx_write(WordAddr(9));
+        t0.access(AccessKind::NonTx, WordAddr(9), true);
+        t1.access(AccessKind::NonTx, WordAddr(9), true);
         let (mut segs, _) = t0.take();
         let (s1, _) = t1.take();
         segs.extend(s1);
@@ -221,7 +215,7 @@ mod tests {
     fn duplicate_accesses_dedup_within_segment() {
         let mut c = HbCapture::new(0);
         for _ in 0..100 {
-            c.nontx_read(WordAddr(3));
+            c.access(AccessKind::NonTx, WordAddr(3), false);
         }
         let (segs, _) = c.take();
         assert_eq!(segs[0].accesses.len(), 1);

@@ -4,8 +4,9 @@
 //! trace tool while running the STAMP benchmarks sequentially, then mapped
 //! the addresses to each processor's cache lines and reported 90-percentile
 //! transactional load/store sizes. [`SeqTracer`] does the same: attached to
-//! a sequential execution, it records each atomic block's footprint at
-//! several line granularities simultaneously.
+//! a sequential execution (`Sim::seq_ctx_traced`, which installs it as the
+//! engine's observer), it records each atomic block's footprint at several
+//! line granularities simultaneously.
 
 use std::collections::HashSet;
 
@@ -68,9 +69,6 @@ impl SeqTracer {
     }
 
     /// Records a load inside the current block.
-    // Cold: only footprint-tracing runs attach a tracer, and out of line it
-    // leaves the engine's sequential load loop its registers.
-    #[cold]
     pub fn record_load(&mut self, addr: WordAddr) {
         if !self.in_block {
             return;

@@ -24,18 +24,16 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use htm_core::{
-    Abort, AbortCause, AbortedAttempt, Clock, ConflictPolicy, EventKind, FastMap, FastSet, LineId,
-    Segment, SlotId, SyncClock, ThreadAlloc, TxEvent, TxMemory, TxResult, WordAddr,
+    Abort, AbortCause, Clock, ConflictPolicy, EventKind, FastMap, FastSet, LineId, SlotId,
+    ThreadAlloc, TxMemory, TxResult, WordAddr,
 };
 use htm_hytm::{cost as hytm_cost, SoftLog, REVALIDATE_PERIOD, STM_MAX_ACCESSES};
 use htm_machine::{Machine, Prefetcher, Tracker};
 
-use crate::certify::CertCapture;
 use crate::faults::FaultState;
 use crate::line_set::LineSet;
-use crate::sanitize::HbCapture;
+use crate::observe::{AccessKind, Observer};
 use crate::stats::ThreadStats;
-use crate::trace::SeqTracer;
 
 /// How atomic blocks execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,12 +116,6 @@ pub struct TxnEngine {
     commit_clock: Option<Arc<AtomicU64>>,
     /// Seq of this engine's most recent committed block (0 = none yet).
     last_commit_seq: u64,
-    /// Certifier capture state (RefCell: non-transactional stores are
-    /// captured from `&self` contexts).
-    cert: Option<RefCell<CertCapture>>,
-    /// Race-sanitizer capture state (RefCell: non-transactional accesses
-    /// are captured from `&self` contexts, like `cert`).
-    hb: Option<RefCell<HbCapture>>,
     /// `Tx::alloc` sizes issued since the last snapshot (record mode only).
     alloc_log: Vec<u32>,
     log_allocs: bool,
@@ -161,7 +153,10 @@ pub struct TxnEngine {
     /// untouched.
     hybrid_epoch: Option<Arc<AtomicU64>>,
     pub(crate) stats: ThreadStats,
-    pub(crate) tracer: Option<SeqTracer>,
+    /// The one instrumentation slot: whichever of the certifier, the race
+    /// sanitizer and the footprint tracer are on, or `None` (RefCell:
+    /// non-transactional accesses are observed from `&self` contexts).
+    pub(crate) observer: Option<Box<RefCell<Observer>>>,
 }
 
 impl std::fmt::Debug for TxnEngine {
@@ -231,8 +226,6 @@ impl TxnEngine {
             ),
             commit_clock: None,
             last_commit_seq: 0,
-            cert: None,
-            hb: None,
             alloc_log: Vec::new(),
             log_allocs: false,
             replay_mode: false,
@@ -245,7 +238,7 @@ impl TxnEngine {
             spill_writes: FastMap::default(),
             hybrid_epoch: None,
             stats: ThreadStats::default(),
-            tracer: None,
+            observer: None,
         }
     }
 
@@ -310,67 +303,25 @@ impl TxnEngine {
         self.mem.quiesce_committers(exclude_self.then_some(self.slot));
     }
 
-    pub(crate) fn enable_certify(&mut self) {
-        self.cert = Some(RefCell::new(CertCapture::new(self.thread_id)));
+    /// Reports an event to the observer, if any: one branch when nothing
+    /// observes.
+    #[inline]
+    pub(crate) fn observe(&self, event: impl FnOnce(&mut Observer)) {
+        if let Some(o) = &self.observer {
+            event(&mut o.borrow_mut());
+        }
     }
 
-    /// Takes the certifier capture, returning its events, its aborted
-    /// attempts (for the opacity check), and whether any bound was hit.
-    pub(crate) fn take_cert(&mut self) -> Option<(Vec<TxEvent>, Vec<AbortedAttempt>, bool)> {
-        self.cert.take().map(|c| c.into_inner().take())
-    }
-
-    pub(crate) fn enable_sanitize(&mut self) {
-        self.hb = Some(RefCell::new(HbCapture::new(self.thread_id)));
-    }
-
-    /// Takes the sanitizer capture, returning its segments and whether any
-    /// bound was hit.
-    pub(crate) fn take_hb(&mut self) -> Option<(Vec<Segment>, bool)> {
-        self.hb.take().map(|h| h.into_inner().take())
-    }
-
-    /// Captures a non-transactional access from a `&self` context (plain
-    /// `read_word`/`write_word`/`cas_word` on the thread context).
-    pub(crate) fn hb_nontx_access(&self, addr: WordAddr, write: bool) {
-        if let Some(hb) = &self.hb {
-            let mut h = hb.borrow_mut();
-            if write {
-                h.nontx_write(addr);
-            } else {
-                h.nontx_read(addr);
+    /// The certifier's kind of the current block's commit or abort: a
+    /// hardware attempt whose reads are software-validated (ROT tier, or
+    /// spilled) is checked as a software one.
+    fn event_kind(&self) -> EventKind {
+        match self.state {
+            BlockState::HardwareTx if !self.rot_soft && !self.has_spilled() => {
+                EventKind::Hardware { rot: self.rollback_only }
             }
-        }
-    }
-
-    /// Release edge on `sync` (no-op when the sanitizer is off).
-    pub(crate) fn hb_release(&self, sync: &SyncClock) {
-        if let Some(hb) = &self.hb {
-            hb.borrow_mut().release(sync);
-        }
-    }
-
-    /// Acquire edge on `sync` (no-op when the sanitizer is off).
-    pub(crate) fn hb_acquire(&self, sync: &SyncClock) {
-        if let Some(hb) = &self.hb {
-            hb.borrow_mut().acquire(sync);
-        }
-    }
-
-    /// Records who aborted this thread (and on which line) into the
-    /// conflict log, from the blame word the aggressor left on our slot.
-    /// No-op unless the sanitizer is on and the abort was a conflict.
-    pub(crate) fn record_conflict_blame(&mut self, cause: AbortCause) {
-        if self.hb.is_none() || !cause.is_conflict() {
-            return;
-        }
-        if let Some((aggressor, line)) = self.mem.blame_of(self.slot) {
-            self.stats.conflicts.push(htm_core::ConflictEvent {
-                victim: self.thread_id,
-                aggressor: aggressor.map(|s| s.0 as u32),
-                line,
-                cause,
-            });
+            BlockState::HardwareTx | BlockState::SoftwareTx => EventKind::Software,
+            _ => EventKind::Irrevocable,
         }
     }
 
@@ -410,20 +361,14 @@ impl TxnEngine {
         self.last_commit_seq
     }
 
-    /// Draws the next commit timestamp (0 when no clock is installed).
-    fn draw_commit_seq(&self) -> u64 {
-        self.commit_clock.as_ref().map_or(0, |c| c.fetch_add(1, Ordering::SeqCst))
-    }
-
-    /// Captures a non-transactional store as a single-write event. The seq
-    /// is drawn right after the store executed: the store's invalidation
-    /// dooms every in-flight reader of the line (and spins out committing
-    /// ones), so all committed old-value readers already hold smaller seqs.
-    pub(crate) fn cert_nontx_write(&self, addr: WordAddr, value: u64) {
-        if let Some(cert) = &self.cert {
-            let seq = self.draw_commit_seq();
-            cert.borrow_mut().nontx_write(seq, addr, value);
+    /// The block's linearization point: draws its commit seq from the
+    /// shared clock (0 when none is installed) and reports the commit.
+    fn commit_point(&mut self) {
+        let seq = self.commit_clock.as_ref().map_or(0, |c| c.fetch_add(1, Ordering::SeqCst));
+        if seq != 0 {
+            self.last_commit_seq = seq;
         }
+        self.observe(|o| o.commit(seq, self.event_kind(), [&self.write_buf, &self.spill_writes]));
     }
 
     // ------------------------------------------------------------------
@@ -470,9 +415,7 @@ impl TxnEngine {
         self.mem.begin_slot(self.slot);
         self.charge(cfg.cost.tbegin);
         self.state = BlockState::HardwareTx;
-        if let Some(c) = &mut self.cert {
-            c.get_mut().begin_block();
-        }
+        self.observe(Observer::begin);
         // Fault injection (constrained transactions are exempt: the
         // architecture guarantees their completion). A begin fault
         // pre-dooms the transaction; it surfaces at the first access or at
@@ -507,7 +450,7 @@ impl TxnEngine {
         // most of the post-access window for small transactions).
         self.maybe_yield();
         if let Some(cause) = self.aborted {
-            self.rollback_hw();
+            self.rollback(cause);
             return Err(cause);
         }
         // Doomed-at-commit fault: the transaction survived its whole body
@@ -515,7 +458,7 @@ impl TxnEngine {
         if self.constrained.is_none() {
             if let Some(cause) = self.faults.as_mut().and_then(|f| f.on_commit()) {
                 self.stats.injected_faults += 1;
-                self.rollback_hw();
+                self.rollback(cause);
                 return Err(cause);
             }
         }
@@ -540,30 +483,7 @@ impl TxnEngine {
                 // holds its lines; every non-transactional or irrevocable
                 // access to them spins until the flush below completes, so
                 // no observer can serialize between this draw and the flush.
-                let seq = self.draw_commit_seq();
-                if seq != 0 {
-                    self.last_commit_seq = seq;
-                }
-                let spilled = self.has_spilled();
-                if let Some(c) = &mut self.cert {
-                    if spilled {
-                        // Capacity-spilled commit: the spilled reads are
-                        // software-validated, so the full read check
-                        // applies, and the spilled stores join the write
-                        // set the certifier replays.
-                        let mut writes = self.write_buf.clone();
-                        writes.extend(self.spill_writes.iter().map(|(&a, &v)| (a, v)));
-                        c.get_mut().commit_soft(seq, &writes);
-                    } else if self.rot_soft {
-                        // Software-validated ROT: full read check applies.
-                        c.get_mut().commit_soft(seq, &self.write_buf);
-                    } else {
-                        c.get_mut().commit_hw(seq, self.rollback_only, &self.write_buf);
-                    }
-                }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().commit_tx();
-                }
+                self.commit_point();
                 // Seeded bug #2 (model-checker regression corpus): the epoch
                 // protocol guards *every* in-place write-back — skipping the
                 // bumps here lets a software snapshot read this flush
@@ -627,7 +547,7 @@ impl TxnEngine {
                 Ok(())
             }
             Err(cause) => {
-                self.rollback_hw();
+                self.rollback(cause);
                 Err(cause)
             }
         }
@@ -736,9 +656,7 @@ impl TxnEngine {
         self.charge(hytm_cost::STM_BEGIN);
         self.soft_epoch_seen = self.wait_epoch_even();
         self.state = BlockState::SoftwareTx;
-        if let Some(c) = &mut self.cert {
-            c.get_mut().begin_block();
-        }
+        self.observe(Observer::begin);
         // Fault injection: a begin fault aborts the software attempt. The
         // hardware cause is irrelevant to a software transaction, so every
         // injected failure surfaces as a validation abort.
@@ -751,16 +669,11 @@ impl TxnEngine {
     }
 
     /// Rolls back the current software transaction, discarding its
-    /// buffered stores and read log.
+    /// buffered stores and read log. The observer hears nothing: the abort
+    /// exit that reports the abort is [`TxnEngine::rollback`].
     pub(crate) fn rollback_soft(&mut self) {
         assert_eq!(self.state, BlockState::SoftwareTx, "rollback outside software tx");
         self.charge(self.machine.config().cost.abort);
-        if let Some(c) = &mut self.cert {
-            c.get_mut().abort_attempt(EventKind::Software);
-        }
-        if let Some(h) = &mut self.hb {
-            h.get_mut().rollback_tx();
-        }
         self.write_buf.clear();
         self.pending_frees.clear();
         self.soft_log.clear();
@@ -782,7 +695,7 @@ impl TxnEngine {
     pub(crate) fn soft_commit_validated(&mut self) -> Result<(), AbortCause> {
         assert_eq!(self.state, BlockState::SoftwareTx, "commit outside software tx");
         if let Some(cause) = self.aborted {
-            self.rollback_soft();
+            self.rollback(cause);
             return Err(cause);
         }
         self.charge(
@@ -790,21 +703,12 @@ impl TxnEngine {
                 + hytm_cost::STM_VALIDATE_PER_WORD * self.soft_log.len() as u64,
         );
         if self.soft_log.validate(|a| self.mem.read_word(a)).is_some() {
-            self.rollback_soft();
+            self.rollback(AbortCause::StmValidation);
             return Err(AbortCause::StmValidation);
         }
         // Serialization point: the sequence lock is held, no hardware
         // committer is in flight, and validation just passed.
-        let seq = self.draw_commit_seq();
-        if seq != 0 {
-            self.last_commit_seq = seq;
-        }
-        if let Some(c) = &mut self.cert {
-            c.get_mut().commit_soft(seq, &self.write_buf);
-        }
-        if let Some(h) = &mut self.hb {
-            h.get_mut().commit_tx();
-        }
+        self.commit_point();
         // Seeded bug #2 (model-checker regression corpus): skipping the
         // epoch bump lets concurrent software snapshots read the write-back
         // mid-flight — a torn, non-opaque observation.
@@ -868,7 +772,7 @@ impl TxnEngine {
     }
 
     /// Whether the current spill-tier attempt actually overflowed into the
-    /// side log (decides the commit's validation work and cert path).
+    /// side log (decides the commit's validation work and certifier kind).
     fn has_spilled(&self) -> bool {
         !self.spilled_lines.is_empty()
     }
@@ -926,9 +830,11 @@ impl TxnEngine {
         self.state == BlockState::SoftwareTx
     }
 
-    /// Rolls back the current transaction, hardware or software (the
-    /// abort exit of every attempt).
-    pub(crate) fn rollback(&mut self) {
+    /// Rolls back the current transaction, hardware or software, after an
+    /// abort with `cause` (the abort exit of every attempt), and reports
+    /// the abort.
+    pub(crate) fn rollback(&mut self, cause: AbortCause) {
+        self.observe(|o| o.abort(self.event_kind(), cause, self.mem.blame_of(self.slot)));
         if self.state == BlockState::SoftwareTx {
             self.rollback_soft();
         } else {
@@ -937,22 +843,11 @@ impl TxnEngine {
     }
 
     /// Rolls back the current hardware transaction, discarding buffered
-    /// stores and releasing all lines.
+    /// stores and releasing all lines. The observer hears nothing, as for
+    /// [`TxnEngine::rollback_soft`].
     pub(crate) fn rollback_hw(&mut self) {
         assert_eq!(self.state, BlockState::HardwareTx, "rollback outside hardware tx");
         self.charge(self.machine.config().cost.abort);
-        let kind = if self.rot_soft || self.has_spilled() {
-            EventKind::Software
-        } else {
-            EventKind::Hardware { rot: self.rollback_only }
-        };
-        if let Some(c) = &mut self.cert {
-            c.get_mut().abort_attempt(kind);
-        }
-        if let Some(h) = &mut self.hb {
-            h.get_mut().rollback_tx();
-        }
-        self.write_buf.clear();
         self.pending_frees.clear(); // aborted frees never happened
         self.release_lines();
         self.mem.finish_slot(self.slot);
@@ -981,6 +876,7 @@ impl TxnEngine {
         self.rot_soft = false;
         self.spill_mode = false;
         self.spilled_lines.clear();
+        self.write_buf.clear();
         self.spill_writes.clear();
         self.constrained = None;
     }
@@ -993,22 +889,14 @@ impl TxnEngine {
         // snapshots (the epoch stays odd until the section ends).
         self.epoch_bump();
         self.state = BlockState::Irrevocable;
-        if let Some(c) = &mut self.cert {
-            c.get_mut().begin_block();
-        }
+        self.observe(Observer::begin);
     }
 
     /// Ends an irrevocable block.
     pub(crate) fn end_irrevocable(&mut self) {
         assert_eq!(self.state, BlockState::Irrevocable);
         // Linearization point: the caller still holds the global lock.
-        let seq = self.draw_commit_seq();
-        if seq != 0 {
-            self.last_commit_seq = seq;
-        }
-        if let Some(c) = &mut self.cert {
-            c.get_mut().commit_irrevocable(seq);
-        }
+        self.commit_point();
         self.stats.irrevocable_commits += 1;
         self.epoch_bump(); // even again: the section's writes are published
         self.state = BlockState::Idle;
@@ -1026,38 +914,28 @@ impl TxnEngine {
     /// back an in-flight hardware transaction (releasing its lines, core
     /// registration and speculation ID) or abandons an irrevocable section,
     /// so sibling workers are not wedged on the dead worker's state. The
-    /// caller additionally force-releases the global lock.
+    /// caller additionally force-releases the global lock. The observer
+    /// hears nothing: the failed run's captures are dropped with it.
     pub(crate) fn panic_cleanup(&mut self) {
         match self.state {
-            BlockState::HardwareTx | BlockState::SoftwareTx => self.rollback(),
+            BlockState::HardwareTx => self.rollback_hw(),
+            BlockState::SoftwareTx => self.rollback_soft(),
             BlockState::Irrevocable => self.abandon_irrevocable(),
-            BlockState::Sequential => {
-                // A traced block died mid-flight: discard its partial
-                // footprint instead of leaving the tracer wedged in-block.
-                if let Some(t) = &mut self.tracer {
-                    t.abandon_block();
-                }
-                self.state = BlockState::Idle;
-            }
-            BlockState::Idle => {}
+            BlockState::Sequential | BlockState::Idle => self.state = BlockState::Idle,
         }
     }
 
     /// Begins a sequential-mode block (baseline runs and footprint traces).
     pub(crate) fn begin_sequential(&mut self) {
         assert_eq!(self.state, BlockState::Idle, "nested atomic blocks are not supported");
-        if let Some(t) = &mut self.tracer {
-            t.begin_block();
-        }
+        self.observe(Observer::begin);
         self.state = BlockState::Sequential;
     }
 
     /// Ends a sequential-mode block.
     pub(crate) fn end_sequential(&mut self) {
         assert_eq!(self.state, BlockState::Sequential);
-        if let Some(t) = &mut self.tracer {
-            t.end_block();
-        }
+        self.commit_point();
         self.state = BlockState::Idle;
     }
 
@@ -1184,7 +1062,7 @@ impl TxnEngine {
     ///   not forwarded from a buffered store: the read-set test, the
     ///   capacity tracker, `tx_read_line` and the prefetcher.
     /// * *Per word:* the hardware run's checks of the attempt's state (doom
-    ///   flag, suspend depth, fault plan, ROT mode, certifier, sanitizer),
+    ///   flag, suspend depth, fault plan, ROT mode, observer),
     ///   the cycle charge, the fault draw, store-to-load forwarding (the
     ///   write buffer, then the spilled side log in spill mode), the read,
     ///   the opacity doom re-check, capture and the pacing yield. Reading
@@ -1204,10 +1082,8 @@ impl TxnEngine {
             BlockState::Sequential => {
                 self.clock.tick(self.machine.config().cost.load * out.len() as u64);
                 for (value, addr) in out.iter_mut().zip(run_from(addr)) {
-                    if let Some(t) = &mut self.tracer {
-                        t.record_load(addr);
-                    }
                     *value = self.mem.read_word(addr);
+                    self.observe(|o| o.load(AccessKind::Sequential, addr, *value));
                 }
                 Ok(())
             }
@@ -1225,12 +1101,7 @@ impl TxnEngine {
         self.clock.tick(self.machine.config().cost.load * out.len() as u64);
         for (value, addr) in out.iter_mut().zip(run_from(addr)) {
             *value = self.mem.nontx_load(Some(self.slot), addr);
-            if let Some(c) = &mut self.cert {
-                c.get_mut().on_irr_read(addr, *value);
-            }
-            if let Some(h) = &mut self.hb {
-                h.get_mut().irr_access(addr, false);
-            }
+            self.observe(|o| o.load(AccessKind::Irrevocable, addr, *value));
         }
     }
 
@@ -1275,12 +1146,7 @@ impl TxnEngine {
         if self.soft_reads.is_multiple_of(REVALIDATE_PERIOD) {
             self.soft_revalidate()?;
         }
-        if let Some(c) = &mut self.cert {
-            c.get_mut().on_read(addr, value);
-        }
-        if let Some(h) = &mut self.hb {
-            h.get_mut().tx_access(addr, false);
-        }
+        self.observe(|o| o.load(AccessKind::Software, addr, value));
         self.maybe_yield();
         Ok(value)
     }
@@ -1297,10 +1163,9 @@ impl TxnEngine {
         if self.suspend_depth > 0 {
             // Suspended-mode load: untracked, conflict-free for us.
             self.charge(cost.load);
-            if let Some(h) = &mut self.hb {
-                h.get_mut().nontx_read(addr);
-            }
-            return Ok(self.mem.nontx_load(Some(self.slot), addr));
+            let value = self.mem.nontx_load(Some(self.slot), addr);
+            self.observe(|o| o.load(AccessKind::NonTx, addr, value));
+            return Ok(value);
         }
         self.charge(cost.load + cost.tx_load_extra);
         if let Some(cause) = self.injected_access_fault() {
@@ -1358,20 +1223,11 @@ impl TxnEngine {
         if let Some(cause) = self.mem.doom_cause(self.slot) {
             return self.fail(cause);
         }
-        // Plain rollback-only loads are untracked by the hardware, so the
-        // certifier's value check does not apply to them. ROT-tier loads
-        // are software-validated, so it does.
-        if !self.rollback_only || self.rot_soft {
-            if let Some(c) = &mut self.cert {
-                c.get_mut().on_read(addr, value);
-            }
-        }
-        // Sanitizer: buffered until this attempt commits. Rollback-only
-        // loads are still ordered by the transaction's commit, so they
-        // count as transactional reads.
-        if let Some(h) = &mut self.hb {
-            h.get_mut().tx_access(addr, false);
-        }
+        // Plain rollback-only loads are untracked by the hardware; ROT-tier
+        // loads are software-validated.
+        let untracked = self.rollback_only && !self.rot_soft;
+        let kind = if untracked { AccessKind::RollbackOnly } else { AccessKind::Hardware };
+        self.observe(|o| o.load(kind, addr, value));
         // Yield *after* the access: quantum boundaries must be able to land
         // while the line is held, or transactions with expensive begins
         // execute atomically on the host and never conflict.
@@ -1419,21 +1275,14 @@ impl TxnEngine {
             BlockState::Idle => panic!("transactional access outside an atomic block"),
             BlockState::Sequential => {
                 self.clock.tick(cost.store);
-                if let Some(t) = &mut self.tracer {
-                    t.record_store(addr);
-                }
                 self.mem.write_word(addr, value);
+                self.observe(|o| o.store(AccessKind::Sequential, addr, value));
                 Ok(())
             }
             BlockState::Irrevocable => {
                 self.clock.tick(cost.store);
                 self.mem.nontx_store(Some(self.slot), addr, value);
-                if let Some(c) = &mut self.cert {
-                    c.get_mut().on_irr_write(addr, value);
-                }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().irr_access(addr, true);
-                }
+                self.observe(|o| o.store(AccessKind::Irrevocable, addr, value));
                 Ok(())
             }
             BlockState::SoftwareTx => {
@@ -1444,9 +1293,7 @@ impl TxnEngine {
                 if self.injected_access_fault().is_some() {
                     return self.fail(AbortCause::StmValidation);
                 }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().tx_access(addr, true);
-                }
+                self.observe(|o| o.store(AccessKind::Software, addr, value));
                 self.write_buf.insert(addr, value);
                 self.maybe_yield();
                 Ok(())
@@ -1461,10 +1308,7 @@ impl TxnEngine {
                     // Suspended stores have non-transactional semantics:
                     // they publish immediately, outside this transaction's
                     // serialization point.
-                    self.cert_nontx_write(addr, value);
-                    if let Some(h) = &mut self.hb {
-                        h.get_mut().nontx_write(addr);
-                    }
+                    self.observe(|o| o.store(AccessKind::NonTx, addr, value));
                     return Ok(());
                 }
                 self.charge(cost.store + cost.tx_store_extra);
@@ -1488,9 +1332,7 @@ impl TxnEngine {
                     }
                 }
                 if line_spilled {
-                    if let Some(h) = &mut self.hb {
-                        h.get_mut().tx_access(addr, true);
-                    }
+                    self.observe(|o| o.store(AccessKind::Hardware, addr, value));
                     self.spill_writes.insert(addr, value);
                     self.maybe_yield();
                     return Ok(());
@@ -1516,9 +1358,7 @@ impl TxnEngine {
                 } else if self.constrained.is_some() {
                     self.charge_constrained_access(addr);
                 }
-                if let Some(h) = &mut self.hb {
-                    h.get_mut().tx_access(addr, true);
-                }
+                self.observe(|o| o.store(AccessKind::Hardware, addr, value));
                 self.write_buf.insert(addr, value);
                 self.maybe_yield();
                 Ok(())
@@ -1606,7 +1446,7 @@ impl TxnEngine {
         self.state == BlockState::HardwareTx
     }
 
-    #[allow(dead_code)] // exercised by unit tests
+    #[cfg(test)]
     pub(crate) fn is_suspended(&self) -> bool {
         self.suspend_depth > 0
     }
@@ -1919,12 +1759,12 @@ mod tests {
     #[test]
     fn sequential_tracer_records_footprints() {
         let mut e = engine(ExecMode::Sequential);
-        e.tracer = Some(SeqTracer::new(&[64]));
+        e.observer = Some(Observer::tracing(&[64], false));
         e.begin_sequential();
         e.load(WordAddr(0)).unwrap();
         e.store(WordAddr(64), 1).unwrap();
         e.end_sequential();
-        let t = e.tracer.as_ref().unwrap();
+        let t = e.observer.take().and_then(|o| o.into_inner().into_tracer()).unwrap();
         assert_eq!(t.samples(0), &[(1, 1)]);
     }
 
@@ -2394,11 +2234,7 @@ mod tests {
                 failed_at,
                 now: e.clock.now(),
                 stats: format!("{:?}", e.stats),
-                captures: format!(
-                    "{:?} {:?}",
-                    e.cert,
-                    e.hb.as_ref().map(|h| h.borrow().ordered_state())
-                ),
+                captures: format!("{:?}", e.observer.as_ref().map(|o| o.borrow().ordered_state())),
                 read_lines: e.read_lines.iter().collect(),
                 write_lines: e.write_lines.iter().collect(),
                 spilled_lines: e.spilled_lines.iter().collect(),
@@ -2464,8 +2300,7 @@ mod tests {
                 FaultState::new(&self.faults, 0),
             );
             if capture {
-                e.enable_certify();
-                e.enable_sanitize();
+                e.observer = Some(Observer::new(0, Some(&Arc::default()), Some(&Arc::default())));
             }
             (self.prelude)(&mut e);
             e

@@ -131,3 +131,196 @@ fn an_intact_policy_on_the_same_workload_certifies() {
     let report = stats.certify.expect("certifier enabled");
     assert!(report.ok(), "{report}");
 }
+
+/// What one single-worker certified and sanitized run leaves behind: the
+/// certifier's `(events, edges, violations, lock acquisitions)`, the
+/// opacity check's `(attempts, reads checked)`, and every race-sanitizer
+/// segment's accesses as `(word name, write, transactional)`.
+type Capture = ((usize, usize, usize, u64), (usize, usize), Vec<Vec<(&'static str, bool, bool)>>);
+
+/// Runs `work` on one worker of a fresh certified and sanitized `Sim`.
+/// `work` gets the context and two words, `x` and `y`, on lines of their
+/// own; accesses are named `x`, `y` and `lock` (the global lock word).
+fn capture(
+    platform: Platform,
+    fallback: htm_runtime::FallbackPolicy,
+    work: fn(&mut ThreadCtx, htm_core::WordAddr, htm_core::WordAddr),
+) -> Capture {
+    let cfg = SimConfig::new(platform.config())
+        .mem_words(1 << 16)
+        .fallback(fallback)
+        .certify(true)
+        .sanitize(true);
+    let sim = Sim::new(cfg);
+    let x = sim.alloc().alloc_aligned(1, 256);
+    let y = sim.alloc().alloc_aligned(1, 256);
+    let stats = sim.run_parallel(1, RetryPolicy::default(), |ctx| work(ctx, x, y));
+    let lock = sim.lock().addr();
+    let name = |a| match a {
+        a if a == x => "x",
+        a if a == y => "y",
+        a if a == lock => "lock",
+        a => panic!("unexpected access to {a}"),
+    };
+    let c = stats.certify.expect("certifier enabled");
+    let o = stats.opacity.expect("certifier enabled");
+    let r = stats.race.expect("sanitizer enabled");
+    assert!(!c.truncated && !o.truncated && o.violations.is_empty() && r.ok());
+    let segments = r
+        .segments
+        .iter()
+        .map(|s| s.accesses.iter().map(|a| (name(a.addr), a.write, a.tx)).collect())
+        .collect();
+    (
+        (c.events, c.edges, c.violations.len(), c.lock_acquisitions),
+        (o.attempts, o.reads_checked),
+        segments,
+    )
+}
+
+/// Each access kind's capture, pinned through the public API. Every
+/// scenario first publishes `x = 7` and `y = 3` with plain stores (one
+/// single-write certifier event each), so a captured transactional read of
+/// either word adds a read-from edge, and a captured read of a value no
+/// writer produced is a violation.
+#[test]
+fn each_access_kind_leaves_its_pinned_capture() {
+    use htm_runtime::FallbackPolicy::{Lock, Stm};
+    const W: bool = true;
+    const R: bool = false;
+    const TX: bool = true;
+    const NONTX: bool = false;
+    fn publish(ctx: &mut ThreadCtx, x: htm_core::WordAddr, y: htm_core::WordAddr) {
+        ctx.write_word(x, 7);
+        ctx.write_word(y, 3);
+    }
+
+    // A load forwarded from the block's own buffered store is neither a
+    // certified read (8 was never published, so it would be a wild read)
+    // nor a sanitizer access. The subscription load of the lock word is.
+    let forwarded = capture(Platform::IntelCore, Lock, |ctx, x, y| {
+        publish(ctx, x, y);
+        ctx.atomic(|tx| {
+            tx.store(x, 8)?;
+            assert_eq!(tx.load(x)?, 8);
+            Ok(())
+        });
+    });
+    assert_eq!(
+        forwarded,
+        (
+            (3, 1, 0, 0),
+            (0, 0),
+            vec![vec![("x", W, NONTX), ("y", W, NONTX), ("lock", R, TX), ("x", W, TX)]]
+        )
+    );
+
+    // POWER8 rollback-only: the load is untracked, so the certifier takes
+    // no read (no edge from `x = 7`, and an aborted attempt leaves no
+    // opacity record), while the sanitizer counts it as transactional.
+    // The store commits as a rollback-only hardware event.
+    let rollback_only = capture(Platform::Power8, Lock, |ctx, x, y| {
+        publish(ctx, x, y);
+        let committed = ctx.try_rollback_only(|tx| {
+            let v = tx.load(x)?;
+            tx.store(y, v + 1)
+        });
+        assert_eq!(committed, Some(()));
+        let aborted = ctx.try_rollback_only(|tx| {
+            tx.load(x)?;
+            tx.abort_tx::<()>(1)
+        });
+        assert_eq!(aborted, None);
+    });
+    assert_eq!(
+        rollback_only,
+        (
+            (3, 1, 0, 0),
+            (0, 0),
+            vec![vec![("x", W, NONTX), ("y", W, NONTX), ("x", R, TX), ("y", W, TX)]]
+        )
+    );
+
+    // Suspended accesses are non-transactional: the load is no certified
+    // read (no edge from `x = 7`), the store publishes at once as its own
+    // single-write event, and the sanitizer records both as they happen,
+    // ahead of the committed subscription load. Only `x` is published.
+    let suspended = capture(Platform::Power8, Lock, |ctx, x, y| {
+        ctx.write_word(x, 7);
+        ctx.atomic(|tx| {
+            tx.suspend()?;
+            let v = tx.load(x)?;
+            tx.store(y, v + 1)?;
+            tx.resume()
+        });
+    });
+    assert_eq!(
+        suspended,
+        (
+            (3, 0, 0, 0),
+            (0, 0),
+            vec![vec![("x", W, NONTX), ("x", R, NONTX), ("y", W, NONTX), ("lock", R, TX)]]
+        )
+    );
+
+    // With no retries, an explicit abort sends the block to the global
+    // lock. The aborted hardware attempt's two reads (the lock word and
+    // `x`) go to the opacity check and nowhere else; the irrevocable run's
+    // load of its own store is no certified read (3 would make it a wild
+    // read of 5), while its load of `x` is. The lock's acquire and release
+    // close the sanitizer's segments around the irrevocable section.
+    let irrevocable = capture(Platform::IntelCore, Lock, |ctx, x, y| {
+        publish(ctx, x, y);
+        ctx.set_policy(RetryPolicy::uniform(0));
+        let mut attempts = 0;
+        ctx.atomic(|tx| {
+            attempts += 1;
+            if attempts == 1 {
+                tx.load(x)?;
+                return tx.abort_tx(1);
+            }
+            tx.store(y, 5)?;
+            assert_eq!(tx.load(y)?, 5);
+            assert_eq!(tx.load(x)?, 7);
+            Ok(())
+        });
+    });
+    assert_eq!(
+        irrevocable,
+        (
+            (3, 2, 0, 1),
+            (1, 2),
+            vec![
+                vec![("x", W, NONTX), ("y", W, NONTX)],
+                vec![("y", W, TX), ("y", R, TX), ("x", R, TX)]
+            ]
+        )
+    );
+
+    // The STM fallback: loads are certified reads (value-checked) and
+    // sanitizer reads, stores are buffered writes, a forwarded load is
+    // neither; all of it lands when the commit holds the lock.
+    let stm = capture(Platform::IntelCore, Stm, |ctx, x, y| {
+        publish(ctx, x, y);
+        ctx.set_policy(RetryPolicy::uniform(0));
+        let mut attempts = 0;
+        ctx.atomic(|tx| {
+            attempts += 1;
+            if attempts == 1 {
+                return tx.abort_tx(1);
+            }
+            let v = tx.load(x)?;
+            tx.store(y, v + 1)?;
+            assert_eq!(tx.load(y)?, 8);
+            Ok(())
+        });
+    });
+    assert_eq!(
+        stm,
+        (
+            (3, 2, 0, 1),
+            (1, 1),
+            vec![vec![("x", W, NONTX), ("y", W, NONTX)], vec![("x", R, TX), ("y", W, TX)]]
+        )
+    );
+}

@@ -764,3 +764,107 @@ fn record_and_replay_of_every_tier_are_pinned() {
         check_pins(runner, &actual, REPLAY_PINS);
     }
 }
+
+// The same scenarios as `TIER_PINS`, certified and sanitized, on fibers:
+// each group folds every run as `fold_run` does, plus what the certifier,
+// the opacity check and the race sanitizer report, and every conflict the
+// sanitizer blamed on an aggressor. The opacity check's violations are
+// folded, not asserted away: the Blue Gene/Q long-running lock, stm and
+// rot groups report some at four threads. Captured once; not to be
+// re-blessed.
+
+/// Folds the bytes of `text` (a report's violations, races or segments).
+fn fold_text(h: u64, text: &str) -> u64 {
+    text.bytes().fold(h, |h, b| fnv(h, b as u64))
+}
+
+/// Runs one `TIER_PINS` scenario certified and sanitized on fibers and
+/// folds it, with its reports, into `h`.
+fn instrumented_run(
+    h: u64,
+    machine: &MachineConfig,
+    fallback: FallbackPolicy,
+    plan: FaultPlan,
+    threads: u32,
+) -> u64 {
+    let cfg = SimConfig::new(machine.clone())
+        .mem_words(1 << 18)
+        .seed(0x9177)
+        .faults(plan)
+        .fallback(fallback)
+        .certify(true)
+        .sanitize(true);
+    let sim = Sim::new(cfg);
+    sim.declare_cooperative();
+    let counters = sim.alloc().alloc_aligned(32, 256);
+    let wide = sim.alloc().alloc_aligned(PIN_WIDE * PIN_STRIDE, 256);
+    let stats = sim.run_parallel(
+        threads,
+        RetryPolicy::default(),
+        pin_work(counters, wide, PinApi::Atomic, None),
+    );
+    assert_eq!(stats.committed_blocks(), (threads * PIN_BLOCKS) as u64);
+    if machine.platform == Platform::Power8 && fallback == FallbackPolicy::Adaptive {
+        // The wide blocks overflow the TMCAM and commit on the spill tier,
+        // whose events carry the spilled stores.
+        assert!(stats.threads.iter().any(|t| t.spill_commits > 0), "no spilled commit");
+    }
+    let mut h = fold_run(h, &stats, sim.memory_digest());
+    let c = stats.certify.as_ref().expect("certifier enabled");
+    assert!(c.ok(), "{c}");
+    for v in [c.events as u64, c.edges as u64, c.truncated as u64, c.lock_acquisitions] {
+        h = fnv(h, v);
+    }
+    h = fold_text(h, &format!("{:?}", c.violations));
+    let o = stats.opacity.as_ref().expect("certifier enabled");
+    h = fnv(fnv(h, o.attempts as u64), o.reads_checked as u64);
+    h = fold_text(h, &format!("{:?}", o.violations));
+    let r = stats.race.as_ref().expect("sanitizer enabled");
+    assert!(r.ok(), "{r}");
+    h = fold_text(h, &format!("{:?}", r.races));
+    h = fnv(fnv(h, r.words_checked as u64), r.truncated as u64);
+    for s in &r.segments {
+        h = fold_text(h, &format!("{} {:?} {:?}", s.thread, s.vc, s.accesses));
+    }
+    stats.conflicts().fold(h, |h, e| fold_text(h, &format!("{e:?}")))
+}
+
+const INSTRUMENTATION_PINS: &[(&str, u64)] = &[
+    ("bgq-short/lock", 0x2b7e0b5d30cf0d8d),
+    ("bgq-short/stm", 0x096085fad3d9d216),
+    ("bgq-short/rot", 0x2b7e0b5d30cf0d8d),
+    ("bgq-short/adaptive", 0x255e991854857b63),
+    ("bgq-long/lock", 0x3ce976a96988a590),
+    ("bgq-long/stm", 0xfd50c5042f9db0d7),
+    ("bgq-long/rot", 0x3ce976a96988a590),
+    ("bgq-long/adaptive", 0xd42673ca92bf70e5),
+    ("zec12/lock", 0xfcd4dd2d80d19ab4),
+    ("zec12/stm", 0xc60d79166aa3e4fb),
+    ("zec12/rot", 0xfcd4dd2d80d19ab4),
+    ("zec12/adaptive", 0x3530c3e662f19fd1),
+    ("intel/lock", 0x66de5286d020d25c),
+    ("intel/stm", 0x85c014ec71cc1182),
+    ("intel/rot", 0x66de5286d020d25c),
+    ("intel/adaptive", 0xea2af1dd265a64c3),
+    ("power8/lock", 0x22091ebcd472d42d),
+    ("power8/stm", 0x663aed195b6edc10),
+    ("power8/rot", 0xd073d9ee0fe3de5a),
+    ("power8/adaptive", 0x406dfa7bf5e2f3a9),
+];
+
+#[test]
+fn instrumentation_is_pinned() {
+    let mut actual = Vec::new();
+    for (name, machine) in pin_machines() {
+        for fallback in PIN_TIERS {
+            let mut h = FNV_OFFSET;
+            for plan in [FaultPlan::none(), pin_storm()] {
+                for threads in [1, 2, 4] {
+                    h = instrumented_run(h, &machine, fallback, plan, threads);
+                }
+            }
+            actual.push((format!("{name}/{}", fallback.key()), h));
+        }
+    }
+    check_pins(Runner::Fibers, &actual, INSTRUMENTATION_PINS);
+}
